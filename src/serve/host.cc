@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstddef>
 #include <exception>
 #include <utility>
 
@@ -22,6 +23,11 @@ struct ServingHost::Entry {
 
   const std::string name;
   const ModelOptions opts;
+  /// Input widths of the registered model, read from its IR at
+  /// registration; every request is checked against them before collation.
+  /// pseudo_cols = 0: the model takes no pseudo-coordinates.
+  std::int64_t feature_cols = 0;
+  std::int64_t pseudo_cols = 0;
   BoundedQueue<Pending> queue;  ///< one lane per Priority
   SloBatchController controller;
   MemoryPool pool;           ///< batch-internal tensors (collated inputs)
@@ -65,7 +71,11 @@ void ServingHost::register_model(const std::string& name, ModelBuilder builder,
   ModelGraph model = builder();
   TRIAD_CHECK(model.params.size() == model.init.size(),
               "model '" << name << "': params/init size mismatch");
+  TRIAD_CHECK(model.features >= 0,
+              "model '" << name << "' declares no feature input");
   auto entry = std::make_unique<Entry>(name, std::move(opts));
+  entry->feature_cols = model.ir.node(model.features).cols;
+  if (model.pseudo >= 0) entry->pseudo_cols = model.ir.node(model.pseudo).cols;
   entry->builder = std::move(builder);
   entry->weights = std::make_shared<const std::vector<Tensor>>(
       std::move(model.init));
@@ -323,7 +333,59 @@ bool ServingHost::collect(bool blocking, Batch* out) {
   }
 }
 
+namespace {
+
+/// Throws triad::Error when `req` does not fit the model's inputs — the
+/// per-request form of collate()'s checks, so one malformed request fails
+/// alone instead of taking its whole batch down with it.
+void check_request(const std::string& model, std::int64_t feature_cols,
+                   std::int64_t pseudo_cols, const InferenceRequest& req) {
+  TRIAD_CHECK(req.graph != nullptr,
+              "model '" << model << "': request has no graph");
+  TRIAD_CHECK(req.features.defined(),
+              "model '" << model << "': request has no features");
+  TRIAD_CHECK_EQ(req.features.rows(), req.graph->num_vertices(),
+                 "model '" << model << "': feature rows");
+  TRIAD_CHECK_EQ(req.features.cols(), feature_cols,
+                 "model '" << model << "': feature width");
+  if (pseudo_cols == 0) {
+    TRIAD_CHECK(!req.pseudo.defined(),
+                "model '" << model << "' takes no pseudo-coordinates but the "
+                                      "request carries them");
+    return;
+  }
+  TRIAD_CHECK(req.pseudo.defined(),
+              "model '" << model << "' takes pseudo-coordinates but the "
+                                    "request carries none");
+  TRIAD_CHECK_EQ(req.pseudo.rows(), req.graph->num_edges(),
+                 "model '" << model << "': pseudo rows");
+  TRIAD_CHECK_EQ(req.pseudo.cols(), pseudo_cols,
+                 "model '" << model << "': pseudo width");
+}
+
+}  // namespace
+
 void ServingHost::serve_batch(Entry& e, std::vector<Pending>& batch) {
+  // Malformed requests fail alone, before collation; the rest ride on.
+  std::size_t kept = 0;
+  for (Pending& p : batch) {
+    try {
+      check_request(e.name, e.feature_cols, e.pseudo_cols, p.request);
+    } catch (...) {
+      p.promise.set_exception(std::current_exception());
+      continue;
+    }
+    if (&p != &batch[kept]) batch[kept] = std::move(p);
+    ++kept;
+  }
+  if (kept < batch.size()) {
+    std::lock_guard<std::mutex> lock(e.mu);
+    e.stats.failed += static_cast<std::uint64_t>(batch.size() - kept);
+    e.last_done = std::max(e.last_done, clock_.seconds());
+    batch.erase(batch.begin() + static_cast<std::ptrdiff_t>(kept), batch.end());
+  }
+  if (batch.empty()) return;
+
   Timer exec;
   CounterScope scope;
   const int batch_size = static_cast<int>(batch.size());
@@ -368,13 +430,7 @@ void ServingHost::serve_batch(Entry& e, std::vector<Pending>& batch) {
       runner.set_partitioning(partition.get());
     }
     runner.bind(compiled->features, cb.features);
-    if (compiled->pseudo >= 0) {
-      TRIAD_CHECK(cb.pseudo.defined(),
-                  "model '" << e.name
-                            << "' takes pseudo-coordinates but the requests "
-                               "carried none");
-      runner.bind(compiled->pseudo, cb.pseudo);
-    }
+    if (compiled->pseudo >= 0) runner.bind(compiled->pseudo, cb.pseudo);
     // The weight snapshot, not compiled->init: hot reload swaps payloads
     // while the immutable plan (and its cache entry) stays untouched.
     for (std::size_t i = 0; i < compiled->params.size(); ++i) {

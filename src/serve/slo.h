@@ -1,10 +1,10 @@
 /// \file
 /// SLO-aware batching: a target-p99 feedback controller over the batch knobs.
 ///
-/// The static max-batch/max-wait policy (serve/batcher.h) has a tuning
-/// problem: a max-wait generous enough to fill batches at low traffic
-/// inflates tail latency the moment an SLO is attached, and a tight one
-/// wastes batching headroom. The controller closes the loop: after each
+/// The static max-batch/max-wait policy (BatchPolicy) has a tuning problem:
+/// a max-wait generous enough to fill batches at low traffic inflates tail
+/// latency the moment an SLO is attached, and a tight one wastes batching
+/// headroom. The controller closes the loop: after each
 /// served batch the host feeds it the p99 observed over a recent sample
 /// window, and the controller steers the *effective* max-wait (and, at the
 /// extremes, the effective max-batch) toward the largest values that keep
@@ -29,15 +29,25 @@
 #pragma once
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <mutex>
 
-#include "serve/batcher.h"
-
 namespace triad::serve {
 
+/// Static batch-formation knobs. A worker blocks for the *first* request,
+/// then collects up to max_batch-1 more for at most max_wait_us: larger
+/// batches amortize per-run overhead, waiting for stragglers adds latency.
+/// queue_capacity bounds admission (a full queue refuses try_submit —
+/// back-pressure instead of unbounded growth).
+struct BatchPolicy {
+  int max_batch = 8;
+  std::int64_t max_wait_us = 200;
+  std::size_t queue_capacity = 1024;
+};
+
 /// SLO policy knobs. Disabled by default: a ServingHost model without an SLO
-/// serves under the static BatchPolicy exactly like InferenceServer.
+/// serves under the static BatchPolicy.
 struct SloPolicy {
   bool enabled = false;
   std::int64_t target_p99_us = 10000;  ///< the latency SLO being steered to

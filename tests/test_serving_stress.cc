@@ -98,6 +98,7 @@ TEST(ServingStress, ConcurrentSubmitStatsReloadShutdown) {
 
   std::atomic<std::uint64_t> accepted{0}, refused{0}, resolved{0}, errors{0};
   std::atomic<bool> stop_aux{false};
+  std::atomic<int> reload_rounds{0};
 
   // Submitters: blocking and non-blocking paths, all three priorities, both
   // models, from eight threads at once.
@@ -159,11 +160,16 @@ TEST(ServingStress, ConcurrentSubmitStatsReloadShutdown) {
     while (!stop_aux.load()) {
       host.reload("stress/gcn");
       host.reload("stress/gat");
+      ++reload_rounds;
       std::this_thread::yield();
     }
   });
 
   for (auto& t : submitters) t.join();
+  // On a loaded machine the submitters can finish before the reloader is
+  // first scheduled; let it complete one round so the reload count below
+  // does not depend on thread start-up order.
+  while (reload_rounds.load() == 0) std::this_thread::yield();
   stop_aux.store(true);
   readers[0].join();
   readers[1].join();
