@@ -51,8 +51,7 @@ struct Options {
   int threads = 0;           ///< global pool size override (0 = auto)
   unsigned seed = 42;
   bool specialize = true;    ///< bind specialized kernel cores (--no-specialize)
-  bool pipeline = true;      ///< pipelined sharded execution (--no-pipeline)
-  bool transport = true;     ///< message-passing cross-shard flows (--no-transport)
+  bool transport = true;     ///< ParamServer parameter updates (--no-transport)
   bool json = true;          ///< emit BENCH_<name>.json
   std::string json_dir = "."; ///< where to write it
   std::string dump_ir;       ///< write one DOT file per pipeline stage here
@@ -72,7 +71,6 @@ struct Options {
       if (const char* v = val("--json-dir")) o.json_dir = v;
       if (const char* v = val("--dump-ir")) o.dump_ir = v;
       if (std::strcmp(argv[i], "--no-specialize") == 0) o.specialize = false;
-      if (std::strcmp(argv[i], "--no-pipeline") == 0) o.pipeline = false;
       if (std::strcmp(argv[i], "--no-transport") == 0) o.transport = false;
       if (std::strcmp(argv[i], "--no-json") == 0) o.json = false;
       if (std::strcmp(argv[i], "--full") == 0) {
@@ -145,14 +143,9 @@ inline std::shared_ptr<const Compiled> engine_compile(
     co.strategy.specialize = false;
     co.strategy.name += "(-specialize)";
   }
-  if (!opt.pipeline && co.strategy.pipeline) {
-    // Barriered-sharded ablation run; same cache-key reasoning as above.
-    co.strategy.pipeline = false;
-    co.strategy.name += "(-pipeline)";
-  }
   if (!opt.transport && co.strategy.transport) {
-    // Direct-memory ablation run (no shard fabric, no ParamServer); same
-    // cache-key reasoning as above.
+    // In-place update ablation run (no ParamServer); same cache-key
+    // reasoning as above.
     co.strategy.transport = false;
     co.strategy.name += "(-transport)";
   }
@@ -327,50 +320,28 @@ class JsonReport {
           r.m.peak_bytes > 0 ? static_cast<double>(r.base_peak) /
                                    static_cast<double>(r.m.peak_bytes)
                              : 0.0;
+      // Every PerfCounters field (summed over the measured steps), then the
+      // two pass totals the CI greps and older trajectories read.
+      std::string counters;
+      r.m.counters.for_each([&](const char* name, std::uint64_t v,
+                                CounterKind) {
+        counters += std::string("\"") + name + "\": " + std::to_string(v) +
+                    ", ";
+      });
       std::fprintf(
           f,
           "    {\"workload\": \"%s\", \"strategy\": \"%s\", "
           "\"run_seconds\": %.6e, \"compile_seconds\": %.6e, "
-          "\"io_bytes\": %llu, \"peak_bytes\": %zu, "
-          "\"kernel_launches\": %llu, \"atomic_ops\": %llu, "
-          "\"flops\": %llu, \"combine_bytes\": %llu, "
+          "\"io_bytes\": %llu, \"peak_bytes\": %zu, %s"
           "\"specialized_edges\": %llu, \"interpreted_edges\": %llu, "
-          "\"specialized_fwd_edges\": %llu, \"specialized_bwd_edges\": %llu, "
-          "\"interpreted_fwd_edges\": %llu, \"interpreted_bwd_edges\": %llu, "
-          "\"interior_edges\": %llu, \"frontier_edges\": %llu, "
-          "\"walk_ns\": %llu, \"combine_ns\": %llu, "
-          "\"combine_overlap_ns\": %llu, "
-          "\"boundary_stash_bytes\": %llu, "
-          "\"boundary_stash_saved_bytes\": %llu, "
-          "\"transport_msgs\": %llu, \"transport_bytes\": %llu, "
-          "\"param_push_bytes\": %llu, \"param_pull_bytes\": %llu, "
           "\"shards\": %d, \"shard_peak_bytes\": %zu, "
           "\"speedup\": %.4f, \"mem_ratio\": %.4f%s%s}%s\n",
           r.workload.c_str(), r.strategy.c_str(), r.m.seconds,
           r.m.compile_seconds,
           static_cast<unsigned long long>(r.m.io_bytes), r.m.peak_bytes,
-          static_cast<unsigned long long>(r.m.counters.kernel_launches),
-          static_cast<unsigned long long>(r.m.counters.atomic_ops),
-          static_cast<unsigned long long>(r.m.counters.flops),
-          static_cast<unsigned long long>(r.m.counters.combine_bytes),
+          counters.c_str(),
           static_cast<unsigned long long>(r.m.counters.specialized_edges()),
           static_cast<unsigned long long>(r.m.counters.interpreted_edges()),
-          static_cast<unsigned long long>(r.m.counters.specialized_fwd_edges),
-          static_cast<unsigned long long>(r.m.counters.specialized_bwd_edges),
-          static_cast<unsigned long long>(r.m.counters.interpreted_fwd_edges),
-          static_cast<unsigned long long>(r.m.counters.interpreted_bwd_edges),
-          static_cast<unsigned long long>(r.m.counters.interior_edges),
-          static_cast<unsigned long long>(r.m.counters.frontier_edges),
-          static_cast<unsigned long long>(r.m.counters.walk_ns),
-          static_cast<unsigned long long>(r.m.counters.combine_ns),
-          static_cast<unsigned long long>(r.m.counters.combine_overlap_ns),
-          static_cast<unsigned long long>(r.m.counters.boundary_stash_bytes),
-          static_cast<unsigned long long>(
-              r.m.counters.boundary_stash_saved_bytes),
-          static_cast<unsigned long long>(r.m.counters.transport_msgs),
-          static_cast<unsigned long long>(r.m.counters.transport_bytes),
-          static_cast<unsigned long long>(r.m.counters.param_push_bytes),
-          static_cast<unsigned long long>(r.m.counters.param_pull_bytes),
           r.m.shards, r.m.shard_peak_bytes, speedup, mem_ratio,
           r.extra.empty() ? "" : ", ", r.extra.c_str(),
           i + 1 < rows_.size() ? "," : "");

@@ -1,21 +1,15 @@
-// Sharded-execution scaling: pipelined (dependency-driven frontier/interior
-// schedule, engine/pipeline.h) vs barriered sharded execution on a
-// multi-million-edge synthetic power-law graph.
+// Sharded-execution scaling on a multi-million-edge synthetic power-law
+// graph.
 //
 // For each shard count K in {1, 8, 16, 32} the bench trains the same GAT
-// twice — Ours (pipelined, the default) and Ours(-pipeline) (walk barrier,
-// then serial-order combine tasks) — and reports per-K rows. The JSON rows
-// carry the pipeline counters: walk_ns / combine_ns are per-task time sums,
-// combine_overlap_ns is how much combine work ran before the last shard
-// finished walking (the overlap the barrier forfeits), and
-// interior_edges / frontier_edges give the schedule split that bounds it.
-// Overlap needs spare cores: on a single-core host the two modes are
-// expected to tie (the pipelined path still reports its overlap window).
+// under the sharded schedule (all shards walk, join, then each owner shard's
+// range is combined as one task) and reports one row per K, with the speedup
+// column taken against the K=1 row. walk_ns / combine_ns in the JSON rows are
+// per-task time sums over shards.
 //
 // --scale shrinks the graph for smoke runs (CI uses --scale<=0.01);
 // --edges=N overrides the pre-scale edge-count target (default 4M).
 #include <cmath>
-#include <thread>
 
 #include "bench_common.h"
 #include "graph/generators.h"
@@ -39,8 +33,8 @@ int main(int argc, char** argv) {
   while ((std::int64_t{1} << vscale) < m / 8) ++vscale;
   const std::int64_t n = std::int64_t{1} << vscale;
 
-  print_header("Scaling — pipelined vs barriered sharded execution (GAT)",
-               "same plan, same graph; only the sharded-run schedule differs "
+  print_header("Scaling — sharded execution across K (GAT)",
+               "same plan, same graph; only the shard count differs "
                "(combine order is identical, outputs bit-identical)");
   JsonReport rep("scaling", opt);
 
@@ -64,7 +58,7 @@ int main(int argc, char** argv) {
   // GAT, not GCN: pure-Sum models reduce sequentially in whichever
   // orientation each program walks, so they never hit the boundary combine.
   // The fused GAT softmax/attention programs mix orientations — the regime
-  // the pipeline actually schedules.
+  // the sharded combine actually runs.
   GatConfig cfg;
   cfg.in_dim = f;
   cfg.hidden = 64;
@@ -72,41 +66,24 @@ int main(int argc, char** argv) {
   cfg.layers = 2;
   cfg.num_classes = kClasses;
 
-  auto run = [&](const Strategy& s, int k) {
+  auto run = [&](int k) {
     Options ok = opt;
     ok.shards = k;
-    auto c = engine_compile(std::make_shared<api::Gat>(cfg), s,
-                            /*training=*/true, g, ok);
+    // Pin the interpreter: every boundary output then goes through the
+    // owner-range combine, so combine_ns covers each program's combine.
+    auto c = engine_compile(std::make_shared<api::Gat>(cfg),
+                            ours_no_specialize(), /*training=*/true, g, ok);
     MemoryPool pool;
     return measure_training(std::move(c), g, features, Tensor{}, labels,
                             opt.steps, true, &pool);
   };
 
-  // Pin the interpreter so the pipeline-vs-barrier comparison measures the
-  // schedule alone, not which programs happened to bind specialized cores
-  // (both realizations run through the same run_pipelined skeleton; the
-  // specialized pipelined path is gated by CI's sharded smoke instead).
-  Strategy pipelined = ours_no_specialize();
-  Strategy barriered = pipelined;
-  barriered.pipeline = false;
-  barriered.name += "(-pipeline)";
-
+  Measurement base;
   for (const int k : {1, 8, 16, 32}) {
-    // Barrier first: it is the per-K baseline the speedup column divides by,
-    // so "speedup" reads directly as the pipeline win at this K.
-    const Measurement off = run(barriered, k);
-    const Measurement on = run(pipelined, k);
-    const std::string suffix = " K=" + std::to_string(k);
-    // Overlap turns into wall-clock only with a spare core per shard task;
-    // stated explicitly so CI gates read the row instead of inferring the
-    // host shape from counter heuristics.
-    const bool overlap_effective =
-        std::thread::hardware_concurrency() > static_cast<unsigned>(k);
-    const std::string common =
-        "\"k\": " + std::to_string(k) + ", \"overlap_effective\": " +
-        (overlap_effective ? "true" : "false") + ", \"pipeline\": ";
-    rep.row(workload, "barrier" + suffix, off, off, common + "false");
-    rep.row(workload, "pipelined" + suffix, on, off, common + "true");
+    const Measurement m = run(k);
+    if (k == 1) base = m;
+    rep.row(workload, "sharded K=" + std::to_string(k), m, base,
+            "\"k\": " + std::to_string(k));
   }
   print_footnote(opt);
   rep.write();

@@ -56,16 +56,11 @@ struct Strategy {
   /// time (engine/specialize.h). On for every preset — output is bit-identical
   /// either way — with ours_no_specialize() as the ablation point.
   bool specialize = true;
-  /// Dependency-driven sharded execution (engine/pipeline.h): frontier-first
-  /// walks with the boundary combine overlapped into still-walking shards.
-  /// On for every preset — output is bit-identical either way — with
-  /// ours_no_pipeline() as the ablation point (barrier + post-join combine).
-  bool pipeline = true;
-  /// Route cross-shard flows through the transport layer (src/transport/):
-  /// pipelined boundary publishes become channel sends and parameter updates
-  /// go through a ParamServer the Trainer pushes/pulls. On for every preset —
-  /// in-process delivery keeps output bit-identical — with
-  /// ours_no_transport() as the ablation point (direct shared memory).
+  /// Route training parameter updates through a ParamServer
+  /// (src/transport/) that the Trainer pushes gradients to and pulls weights
+  /// from. This is all the knob selects. On for every preset — in-process
+  /// delivery keeps output bit-identical — with ours_no_transport() as the
+  /// ablation point (weights updated in place).
   bool transport = true;
 };
 
@@ -78,8 +73,7 @@ Strategy ours_no_fusion();
 Strategy ours_fusion_stash();  ///< fusion without recomputation (Fig. 10 middle)
 Strategy ours_no_optimize();   ///< generic optimizer off (compile-cost ablation)
 Strategy ours_no_specialize(); ///< interpreter-only edge programs (kernel-core ablation)
-Strategy ours_no_pipeline();   ///< barriered sharded execution (pipeline ablation)
-Strategy ours_no_transport();  ///< direct-memory exchange + in-Trainer updates
+Strategy ours_no_transport();  ///< in-Trainer updates, no ParamServer
 
 /// Compile-phase accounting: per-pass wall time (from the PassManager) plus
 /// the ExecutionPlan build time. The benchmark harness reports this

@@ -29,18 +29,14 @@ inline void edgeconv_max(const std::int64_t* TRIAD_RESTRICT ptr,
                          const float* TRIAD_RESTRICT y, std::int64_t y_cols,
                          float* TRIAD_RESTRICT out,
                          std::int32_t* TRIAD_RESTRICT aux, std::int64_t w_rt,
-                         const std::int32_t* TRIAD_RESTRICT list,
-                         std::int64_t count, std::int64_t v_lo,
-                         std::int64_t v_hi) {
+                         std::int64_t v_lo, std::int64_t v_hi) {
   constexpr float kNegInf = -std::numeric_limits<float>::infinity();
   const std::int64_t w = kW > 0 ? kW : w_rt;
   constexpr std::int64_t kBlock = 64;
   constexpr std::int64_t kPrefetchDist = 8;
-  const std::int64_t total = list != nullptr ? count : v_hi - v_lo;
-  for (std::int64_t blk = 0; blk < total; blk += kBlock) {
-    const std::int64_t blk_hi = blk + kBlock < total ? blk + kBlock : total;
-    for (std::int64_t idx = blk; idx < blk_hi; ++idx) {
-      const std::int64_t v = list != nullptr ? list[idx] : v_lo + idx;
+  for (std::int64_t blk = v_lo; blk < v_hi; blk += kBlock) {
+    const std::int64_t blk_hi = blk + kBlock < v_hi ? blk + kBlock : v_hi;
+    for (std::int64_t v = blk; v < blk_hi; ++v) {
       float* TRIAD_RESTRICT acc = out + v * w;
       std::int32_t* TRIAD_RESTRICT arg = aux + v * w;
       for (std::int64_t j = 0; j < w; ++j) acc[j] = kNegInf;

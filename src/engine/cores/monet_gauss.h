@@ -32,16 +32,12 @@ inline void monet_gauss(const std::int64_t* TRIAD_RESTRICT ptr,
                         const float* TRIAD_RESTRICT mu,
                         const float* TRIAD_RESTRICT sigma, std::int64_t r,
                         std::int64_t kernels, std::int64_t f_rt,
-                        float* TRIAD_RESTRICT out,
-                        const std::int32_t* TRIAD_RESTRICT list,
-                        std::int64_t count, std::int64_t v_lo,
+                        float* TRIAD_RESTRICT out, std::int64_t v_lo,
                         std::int64_t v_hi) {
   const std::int64_t f = kF > 0 ? kF : f_rt;
   const std::int64_t wout = kernels * f;
   constexpr std::int64_t kPrefetchDist = 8;
-  const std::int64_t total = list != nullptr ? count : v_hi - v_lo;
-  for (std::int64_t idx = 0; idx < total; ++idx) {
-    const std::int64_t v = list != nullptr ? list[idx] : v_lo + idx;
+  for (std::int64_t v = v_lo; v < v_hi; ++v) {
     float* TRIAD_RESTRICT acc = out + v * wout;
     for (std::int64_t j = 0; j < wout; ++j) acc[j] = 0.f;
     const std::int64_t elo = ptr[v];

@@ -27,13 +27,10 @@ inline void sum_eb(const std::int64_t* TRIAD_RESTRICT ptr,
                    const std::int32_t* TRIAD_RESTRICT adj,
                    const float* TRIAD_RESTRICT feat, std::int64_t feat_cols,
                    float* TRIAD_RESTRICT out, std::int64_t w_rt,
-                   const std::int32_t* TRIAD_RESTRICT list, std::int64_t count,
                    std::int64_t t_lo, std::int64_t t_hi) {
   const std::int64_t w = kW > 0 ? kW : w_rt;
   constexpr std::int64_t kPrefetchDist = 8;
-  const std::int64_t total = list != nullptr ? count : t_hi - t_lo;
-  for (std::int64_t idx = 0; idx < total; ++idx) {
-    const std::int64_t t = list != nullptr ? list[idx] : t_lo + idx;
+  for (std::int64_t t = t_lo; t < t_hi; ++t) {
     float* TRIAD_RESTRICT row = out + t * w;
     for (std::int64_t j = 0; j < w; ++j) row[j] = 0.f;
     const std::int64_t klo = ptr[t];

@@ -5,7 +5,6 @@
 #include "support/counters.h"
 #include "support/macros.h"
 #include "support/timer.h"
-#include "transport/exchange.h"
 
 namespace triad {
 
@@ -36,7 +35,7 @@ MemTag tag_of(const Node& n, int last_consumer, int backward_start) {
 ExecutionPlan ExecutionPlan::compile(IrGraph ir, std::int64_t num_vertices,
                                      std::int64_t num_edges,
                                      const Partitioning* part, bool specialize,
-                                     bool pipeline, bool transport) {
+                                     bool transport) {
   Timer timer;
   ir.validate(num_vertices, num_edges);
   if (part != nullptr) {
@@ -231,9 +230,6 @@ ExecutionPlan ExecutionPlan::compile(IrGraph ir, std::int64_t num_vertices,
       ss.v_hi = sh.v_hi;
       ss.num_vertices = sh.num_vertices();
       ss.local_edges = sh.num_in_edges();
-      ss.frontier_vertices = static_cast<std::int64_t>(sh.frontier.size());
-      ss.frontier_edges = sh.frontier_in_edges;
-      ss.interior_edges = sh.interior_in_edges();
       ss.estimated_peak_bytes =
           simulate(ss.num_vertices, ss.local_edges, &ss.persistent_bytes);
     }
@@ -250,7 +246,6 @@ ExecutionPlan ExecutionPlan::compile(IrGraph ir, std::int64_t num_vertices,
   }
 
   p.ir_ = std::move(ir);
-  p.pipeline_ = pipeline;
   p.transport_ = transport;
   p.compile_seconds_ = timer.seconds();
   ++global_counters().plan_compiles;
@@ -259,10 +254,9 @@ ExecutionPlan ExecutionPlan::compile(IrGraph ir, std::int64_t num_vertices,
 
 std::shared_ptr<const ExecutionPlan> ExecutionPlan::compile_shared(
     IrGraph ir, std::int64_t num_vertices, std::int64_t num_edges,
-    const Partitioning* part, bool specialize, bool pipeline, bool transport) {
-  return std::make_shared<const ExecutionPlan>(
-      compile(std::move(ir), num_vertices, num_edges, part, specialize,
-              pipeline, transport));
+    const Partitioning* part, bool specialize, bool transport) {
+  return std::make_shared<const ExecutionPlan>(compile(
+      std::move(ir), num_vertices, num_edges, part, specialize, transport));
 }
 
 std::size_t ExecutionPlan::max_shard_peak_bytes() const {
@@ -289,8 +283,6 @@ PlanRunner::PlanRunner(const Graph& graph,
   aux_.resize(plan_->size());
 }
 
-PlanRunner::~PlanRunner() = default;
-
 void PlanRunner::set_partitioning(const Partitioning* part) {
   if (part != nullptr) {
     TRIAD_CHECK_EQ(part->num_vertices(), graph_.num_vertices(),
@@ -299,17 +291,6 @@ void PlanRunner::set_partitioning(const Partitioning* part) {
                    "partitioning built for a different |E|");
   }
   partition_ = part;
-  // The combine-dependency schedule is a pure function of the installed
-  // partitioning, so build it here once rather than per program execution.
-  pipeline_sched_ = (part != nullptr && plan_->pipeline())
-                        ? std::make_unique<PipelineSchedule>(*part)
-                        : nullptr;
-  // Likewise the shard fabric: its exchange plan depends only on the graph
-  // and the partitioning. Transport signaling rides the pipelined publishes,
-  // so without a pipeline schedule there is nothing for it to carry.
-  shard_tx_ = (pipeline_sched_ != nullptr && plan_->transport())
-                  ? std::make_unique<transport::ShardTransport>(graph_, *part)
-                  : nullptr;
 }
 
 void PlanRunner::bind(int node, Tensor t) {
@@ -572,8 +553,7 @@ void PlanRunner::exec_fused(const Node& n) {
   const CoreBinding* core = &plan_->core(n.program);
   const bool backward = n.id >= plan_->forward_end();
   if (partition_ != nullptr) {
-    run_edge_program_sharded(graph_, *partition_, ep, b, core,
-                             pipeline_sched_.get(), backward, shard_tx_.get());
+    run_edge_program_sharded(graph_, *partition_, ep, b, core, backward);
   } else {
     run_edge_program(graph_, ep, b, core, backward);
   }

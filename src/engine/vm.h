@@ -18,14 +18,6 @@
 /// bit-identical to the single-shard path. Analytic costs are charged per
 /// shard (one modeled kernel launch each), and the boundary-combine traffic
 /// of cross-shard reductions is charged to PerfCounters::combine_bytes.
-///
-/// With a PipelineSchedule (engine/pipeline.h) the sharded interpreter runs
-/// dependency-driven instead of barriered: shards walk their frontier
-/// vertices first and publish through atomic ready counters, and each owner
-/// shard's combine fires as soon as the shards contributing to its cut have
-/// published — overlapping combine with remaining interior compute. Output
-/// stays bit-identical; PerfCounters::{interior,frontier}_edges and
-/// combine_overlap_ns report what the pipeline did.
 #pragma once
 
 #include <functional>
@@ -37,10 +29,6 @@
 #include "tensor/tensor.h"
 
 namespace triad {
-
-namespace transport {
-class ShardTransport;
-}  // namespace transport
 
 /// Tensor environment the VM reads from / writes to, keyed by IR node id.
 struct VmBindings {
@@ -68,33 +56,15 @@ struct VmBindings {
 void run_edge_program(const Graph& g, const EdgeProgram& ep, const VmBindings& b,
                       const CoreBinding* core = nullptr, bool backward = false);
 
-class PipelineSchedule;
-
 /// Executes the program shard-by-shard: each shard's owned range is one unit
 /// of pool work (shard = unit of placement; no intra-shard work stealing).
-/// Output is bit-identical to run_edge_program for every K.
-///
-/// `pipeline`: optional combine-dependency schedule (must match `part`).
-/// Non-null runs vertex-balanced programs — interpreted AND specialized —
-/// through the pipelined frontier-first path instead of the barrier, so
-/// specialized backward cores (whose boundary output is finalized by the
-/// combine core) overlap their combine with other shards' walks exactly like
-/// the interpreter does. Edge-balanced programs keep the barrier. Output is
-/// bit-identical either way. `backward` selects the fwd/bwd counter split as
-/// in run_edge_program.
-///
-/// `transport`: optional shard fabric (must match `part`). Non-null routes
-/// the pipelined path's publish/combine signaling through transport messages
-/// (transport::BoundaryExchange) instead of bare counters — same firing
-/// threads, same fold order, bit-identical output — and charges the fabric's
-/// message/byte delta to PerfCounters::transport_{msgs,bytes}. Ignored on
-/// the barrier and edge-balanced paths (those stay direct shared-memory: the
-/// --no-transport ablation baseline).
+/// All shards walk, join, then — for programs with a boundary output — each
+/// owner shard's vertex range is combined as one task. Output is
+/// bit-identical to run_edge_program for every K. `backward` selects the
+/// fwd/bwd counter split as in run_edge_program.
 void run_edge_program_sharded(const Graph& g, const Partitioning& part,
                               const EdgeProgram& ep, const VmBindings& b,
                               const CoreBinding* core = nullptr,
-                              const PipelineSchedule* pipeline = nullptr,
-                              bool backward = false,
-                              transport::ShardTransport* transport = nullptr);
+                              bool backward = false);
 
 }  // namespace triad

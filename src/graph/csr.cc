@@ -8,6 +8,10 @@ namespace triad {
 Graph::Graph(std::int64_t num_vertices, std::vector<Edge> edges)
     : n_(num_vertices), m_(static_cast<std::int64_t>(edges.size())) {
   TRIAD_CHECK_GT(n_, 0, "empty vertex set");
+  // Vertex and edge ids are stored as int32, so ids must fit [0, 2^31).
+  constexpr std::int64_t kMaxIds = std::int64_t{1} << 31;
+  TRIAD_CHECK_LE(n_, kMaxIds, "|V| exceeds the int32 vertex-id range");
+  TRIAD_CHECK_LE(m_, kMaxIds, "|E| exceeds the int32 edge-id range");
   edge_src_.resize(m_);
   edge_dst_.resize(m_);
   for (std::int64_t e = 0; e < m_; ++e) {

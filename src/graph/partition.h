@@ -63,30 +63,9 @@ struct Shard {
   std::int64_t cut_in_edges = 0;   ///< incoming with foreign src
   std::int64_t cut_out_edges = 0;  ///< outgoing with foreign dst
 
-  /// Owned vertices with at least one foreign neighbor in either orientation
-  /// (ascending). A frontier vertex's stash contributions may be consumed by
-  /// another shard's combine, so the pipelined walk visits these first and
-  /// publishes them early (see engine/pipeline.h).
-  std::vector<std::int32_t> frontier;
-  /// Owned vertices whose every in- and out-neighbor is also owned
-  /// (ascending). frontier and interior partition [v_lo, v_hi).
-  std::vector<std::int32_t> interior;
-  /// Shards owning at least one halo vertex (sorted, unique, never self).
-  /// Symmetric: t is a neighbor of s iff s is a neighbor of t.
-  std::vector<std::int32_t> neighbor_shards;
-  /// Local edges (per orientation) incident to a frontier owned vertex.
-  std::int64_t frontier_in_edges = 0;
-  std::int64_t frontier_out_edges = 0;
-
   std::int64_t num_vertices() const { return v_hi - v_lo; }
   std::int64_t num_in_edges() const { return e_in_hi - e_in_lo; }
   std::int64_t num_out_edges() const { return e_out_hi - e_out_lo; }
-  std::int64_t interior_in_edges() const {
-    return num_in_edges() - frontier_in_edges;
-  }
-  std::int64_t interior_out_edges() const {
-    return num_out_edges() - frontier_out_edges;
-  }
   bool owns(std::int64_t v) const { return v >= v_lo && v < v_hi; }
 };
 
@@ -115,9 +94,6 @@ class Partitioning {
   /// Sum of per-shard halo set sizes (a vertex replicated by r shards
   /// contributes r).
   std::int64_t total_halo_vertices() const { return total_halo_; }
-  /// Total owned vertices classified as frontier across all shards (each
-  /// vertex is owned by exactly one shard, so this sums without replication).
-  std::int64_t total_frontier_vertices() const { return total_frontier_; }
 
   /// Largest per-shard in-edge count over the ideal m/K — the load imbalance
   /// a degree-balanced split minimizes (1.0 = perfect).
@@ -133,7 +109,6 @@ class Partitioning {
   std::int64_t num_edges_ = 0;
   std::int64_t cut_edges_ = 0;
   std::int64_t total_halo_ = 0;
-  std::int64_t total_frontier_ = 0;
   std::vector<Shard> shards_;
   std::vector<std::int64_t> range_starts_;  ///< shards_[s].v_lo, for owner_of
 };

@@ -40,32 +40,25 @@ std::string human_count(std::uint64_t n) {
 }
 
 std::string PerfCounters::to_string() const {
-  return "io=" + human_bytes(io_bytes()) + " (r=" + human_bytes(dram_read_bytes) +
-         " w=" + human_bytes(dram_write_bytes) + ") flops=" + human_count(flops) +
-         " atomics=" + human_count(atomic_ops) +
-         " kernels=" + std::to_string(kernel_launches) +
-         " onchip=" + human_bytes(onchip_bytes) +
-         " combine=" + human_bytes(combine_bytes) +
-         " passes=" + std::to_string(ir_passes) +
-         " rewrites=" + std::to_string(graph_rewrites) +
-         " plans=" + std::to_string(plan_compiles) +
-         " spec_edges=" + human_count(specialized_edges()) +
-         " (fwd=" + human_count(specialized_fwd_edges) +
-         " bwd=" + human_count(specialized_bwd_edges) + ")" +
-         " interp_edges=" + human_count(interpreted_edges()) +
-         " (fwd=" + human_count(interpreted_fwd_edges) +
-         " bwd=" + human_count(interpreted_bwd_edges) + ")" +
-         " interior_edges=" + human_count(interior_edges) +
-         " frontier_edges=" + human_count(frontier_edges) +
-         " walk=" + human_count(walk_ns) + "ns" +
-         " comb=" + human_count(combine_ns) + "ns" +
-         " comb_overlap=" + human_count(combine_overlap_ns) + "ns" +
-         " stash=" + human_bytes(boundary_stash_bytes) +
-         " stash_saved=" + human_bytes(boundary_stash_saved_bytes) +
-         " tx_msgs=" + std::to_string(transport_msgs) +
-         " tx=" + human_bytes(transport_bytes) +
-         " push=" + human_bytes(param_push_bytes) +
-         " pull=" + human_bytes(param_pull_bytes);
+  std::string out = "io=" + human_bytes(io_bytes());
+  for_each([&](const char* name, std::uint64_t v, CounterKind kind) {
+    out += std::string(" ") + name + "=";
+    switch (kind) {
+      case CounterKind::Bytes:
+        out += human_bytes(v);
+        break;
+      case CounterKind::Count:
+        out += human_count(v);
+        break;
+      case CounterKind::Ns:
+        out += human_count(v) + "ns";
+        break;
+      case CounterKind::Int:
+        out += std::to_string(v);
+        break;
+    }
+  });
+  return out;
 }
 
 }  // namespace triad

@@ -14,41 +14,56 @@
 
 namespace triad {
 
+/// How PerfCounters::to_string() prints one counter.
+enum class CounterKind : std::uint8_t {
+  Bytes,  ///< human_bytes
+  Count,  ///< human_count
+  Ns,     ///< human_count + "ns"
+  Int,    ///< plain decimal
+};
+
+/// The counter field table: one X(member, kind) row per field, in report
+/// order. PerfCounters' members, operator-, operator+=, to_string() and the
+/// benches' BENCH JSON counter fields are all generated from it, so adding a
+/// counter is one row here.
+///
+/// Specialized-vs-interpreted edges are split by pass so training benches can
+/// prove the backward cores engage (forward-only runs leave *_bwd_edges
+/// zero). walk_ns/combine_ns are per-shard task times summed over shards;
+/// combine_overlap_ns is combine time that ran while a shard was still
+/// walking, always 0 under the walk-join-combine schedule and kept so trace
+/// consumers read a stable field. transport_msgs/bytes count ParamServer
+/// messages; the push/pull pair isolates their gradient and parameter bytes.
+#define TRIAD_PERF_COUNTERS(X)                                               \
+  X(dram_read_bytes, Bytes)        /* modeled global-memory reads */         \
+  X(dram_write_bytes, Bytes)       /* modeled global-memory writes */        \
+  X(flops, Count)                  /* floating point ops executed */         \
+  X(atomic_ops, Count)             /* cross-thread atomic reductions */      \
+  X(kernel_launches, Int)          /* device kernels issued */               \
+  X(onchip_bytes, Bytes)           /* traffic fusion keeps on chip */        \
+  X(combine_bytes, Bytes)          /* boundary combine of sharded runs */    \
+  X(ir_passes, Int)                /* IR passes executed (compile time) */   \
+  X(graph_rewrites, Int)           /* optimizer rule hits (compile time) */  \
+  X(plan_compiles, Int)            /* ExecutionPlans built (compile time) */ \
+  X(specialized_fwd_edges, Count)  /* forward edges run by cores */          \
+  X(specialized_bwd_edges, Count)  /* backward edges run by cores */         \
+  X(interpreted_fwd_edges, Count)  /* forward edges interpreted */           \
+  X(interpreted_bwd_edges, Count)  /* backward edges interpreted */          \
+  X(walk_ns, Ns)                   /* sharded walk task time, summed */      \
+  X(combine_ns, Ns)                /* sharded combine task time, summed */   \
+  X(combine_overlap_ns, Ns)        /* combine under still-walking shards */  \
+  X(boundary_stash_bytes, Bytes)   /* per-edge stash actually allocated */   \
+  X(boundary_stash_saved_bytes, Bytes) /* stash elided by recompute */       \
+  X(transport_msgs, Int)           /* ParamServer messages */                \
+  X(transport_bytes, Bytes)        /* modeled wire bytes of those */         \
+  X(param_push_bytes, Bytes)       /* gradient bytes pushed */               \
+  X(param_pull_bytes, Bytes)       /* parameter bytes pulled back */
+
 /// Aggregate cost counters. Plain struct so snapshots/diffs are trivial.
 struct PerfCounters {
-  std::uint64_t dram_read_bytes = 0;   ///< modeled global-memory reads
-  std::uint64_t dram_write_bytes = 0;  ///< modeled global-memory writes
-  std::uint64_t flops = 0;             ///< floating point ops executed
-  std::uint64_t atomic_ops = 0;        ///< cross-thread atomic reductions
-  std::uint64_t kernel_launches = 0;   ///< number of device kernels issued
-  std::uint64_t onchip_bytes = 0;      ///< traffic kept in registers/shared mem by fusion
-  std::uint64_t combine_bytes = 0;     ///< boundary-combine traffic of sharded runs
-  std::uint64_t ir_passes = 0;         ///< IR passes executed (compile-time work)
-  std::uint64_t graph_rewrites = 0;    ///< optimizer rule hits (compile-time work)
-  std::uint64_t plan_compiles = 0;     ///< ExecutionPlans built (compile-time work)
-  // Specialized-vs-interpreted edge accounting, split by pass so training
-  // benches can prove the backward cores engage (a training step charges the
-  // forward programs to *_fwd_edges and the gradient programs to
-  // *_bwd_edges; forward-only runs leave the bwd fields zero).
-  std::uint64_t specialized_fwd_edges = 0;  ///< forward edges run by cores
-  std::uint64_t specialized_bwd_edges = 0;  ///< backward edges run by cores
-  std::uint64_t interpreted_fwd_edges = 0;  ///< forward edges interpreted
-  std::uint64_t interpreted_bwd_edges = 0;  ///< backward edges interpreted
-  std::uint64_t interior_edges = 0;     ///< pipelined walks: edges of interior vertices
-  std::uint64_t frontier_edges = 0;     ///< pipelined walks: edges of frontier vertices
-  std::uint64_t walk_ns = 0;            ///< sharded walks: per-shard task time, summed
-  std::uint64_t combine_ns = 0;         ///< sharded combine: per-task time, summed
-  std::uint64_t combine_overlap_ns = 0; ///< combine time hidden under still-walking shards
-  std::uint64_t boundary_stash_bytes = 0;        ///< per-edge stash actually allocated
-  std::uint64_t boundary_stash_saved_bytes = 0;  ///< stash elided via combine-time recompute
-  // Transport accounting (src/transport/): explicit messages carrying the
-  // cross-shard flows. transport_msgs/bytes cover every fabric (boundary
-  // exchange + param server); the push/pull pair isolates the parameter
-  // traffic a weight server on another host would actually move.
-  std::uint64_t transport_msgs = 0;      ///< messages sent over any fabric
-  std::uint64_t transport_bytes = 0;     ///< modeled wire bytes of those messages
-  std::uint64_t param_push_bytes = 0;    ///< gradient bytes pushed to the param server
-  std::uint64_t param_pull_bytes = 0;    ///< parameter bytes pulled back by workers
+#define TRIAD_COUNTER_MEMBER(name, kind) std::uint64_t name = 0;
+  TRIAD_PERF_COUNTERS(TRIAD_COUNTER_MEMBER)
+#undef TRIAD_COUNTER_MEMBER
 
   std::uint64_t io_bytes() const { return dram_read_bytes + dram_write_bytes; }
   /// Totals over both passes — the pre-split counters every report keeps.
@@ -62,62 +77,25 @@ struct PerfCounters {
   /// entirely from a prebuilt ExecutionPlan (no re-analysis in the hot loop).
   std::uint64_t compile_events() const { return ir_passes + plan_compiles; }
 
+  /// Calls `f(name, value, kind)` for every counter, in table order.
+  template <typename F>
+  void for_each(F&& f) const {
+#define TRIAD_COUNTER_VISIT(name, kind) f(#name, name, CounterKind::kind);
+    TRIAD_PERF_COUNTERS(TRIAD_COUNTER_VISIT)
+#undef TRIAD_COUNTER_VISIT
+  }
+
   PerfCounters operator-(const PerfCounters& o) const {
     PerfCounters r;
-    r.dram_read_bytes = dram_read_bytes - o.dram_read_bytes;
-    r.dram_write_bytes = dram_write_bytes - o.dram_write_bytes;
-    r.flops = flops - o.flops;
-    r.atomic_ops = atomic_ops - o.atomic_ops;
-    r.kernel_launches = kernel_launches - o.kernel_launches;
-    r.onchip_bytes = onchip_bytes - o.onchip_bytes;
-    r.combine_bytes = combine_bytes - o.combine_bytes;
-    r.ir_passes = ir_passes - o.ir_passes;
-    r.graph_rewrites = graph_rewrites - o.graph_rewrites;
-    r.plan_compiles = plan_compiles - o.plan_compiles;
-    r.specialized_fwd_edges = specialized_fwd_edges - o.specialized_fwd_edges;
-    r.specialized_bwd_edges = specialized_bwd_edges - o.specialized_bwd_edges;
-    r.interpreted_fwd_edges = interpreted_fwd_edges - o.interpreted_fwd_edges;
-    r.interpreted_bwd_edges = interpreted_bwd_edges - o.interpreted_bwd_edges;
-    r.interior_edges = interior_edges - o.interior_edges;
-    r.frontier_edges = frontier_edges - o.frontier_edges;
-    r.walk_ns = walk_ns - o.walk_ns;
-    r.combine_ns = combine_ns - o.combine_ns;
-    r.combine_overlap_ns = combine_overlap_ns - o.combine_overlap_ns;
-    r.boundary_stash_bytes = boundary_stash_bytes - o.boundary_stash_bytes;
-    r.boundary_stash_saved_bytes =
-        boundary_stash_saved_bytes - o.boundary_stash_saved_bytes;
-    r.transport_msgs = transport_msgs - o.transport_msgs;
-    r.transport_bytes = transport_bytes - o.transport_bytes;
-    r.param_push_bytes = param_push_bytes - o.param_push_bytes;
-    r.param_pull_bytes = param_pull_bytes - o.param_pull_bytes;
+#define TRIAD_COUNTER_SUB(name, kind) r.name = name - o.name;
+    TRIAD_PERF_COUNTERS(TRIAD_COUNTER_SUB)
+#undef TRIAD_COUNTER_SUB
     return r;
   }
   PerfCounters& operator+=(const PerfCounters& o) {
-    dram_read_bytes += o.dram_read_bytes;
-    dram_write_bytes += o.dram_write_bytes;
-    flops += o.flops;
-    atomic_ops += o.atomic_ops;
-    kernel_launches += o.kernel_launches;
-    onchip_bytes += o.onchip_bytes;
-    combine_bytes += o.combine_bytes;
-    ir_passes += o.ir_passes;
-    graph_rewrites += o.graph_rewrites;
-    plan_compiles += o.plan_compiles;
-    specialized_fwd_edges += o.specialized_fwd_edges;
-    specialized_bwd_edges += o.specialized_bwd_edges;
-    interpreted_fwd_edges += o.interpreted_fwd_edges;
-    interpreted_bwd_edges += o.interpreted_bwd_edges;
-    interior_edges += o.interior_edges;
-    frontier_edges += o.frontier_edges;
-    walk_ns += o.walk_ns;
-    combine_ns += o.combine_ns;
-    combine_overlap_ns += o.combine_overlap_ns;
-    boundary_stash_bytes += o.boundary_stash_bytes;
-    boundary_stash_saved_bytes += o.boundary_stash_saved_bytes;
-    transport_msgs += o.transport_msgs;
-    transport_bytes += o.transport_bytes;
-    param_push_bytes += o.param_push_bytes;
-    param_pull_bytes += o.param_pull_bytes;
+#define TRIAD_COUNTER_ADD(name, kind) name += o.name;
+    TRIAD_PERF_COUNTERS(TRIAD_COUNTER_ADD)
+#undef TRIAD_COUNTER_ADD
     return *this;
   }
 
@@ -125,6 +103,15 @@ struct PerfCounters {
 
   std::string to_string() const;
 };
+
+#define TRIAD_COUNTER_ONE(name, kind) +1
+/// Every member is a table row: a member declared outside the table would be
+/// silently dropped by the generated arithmetic and reports.
+static_assert(sizeof(PerfCounters) ==
+                  (0 TRIAD_PERF_COUNTERS(TRIAD_COUNTER_ONE)) *
+                      sizeof(std::uint64_t),
+              "every PerfCounters member must be a TRIAD_PERF_COUNTERS row");
+#undef TRIAD_COUNTER_ONE
 
 /// Per-thread counter ledger the engine charges into. Kernels charge on the
 /// thread that launches them, so concurrent PlanRunners on different threads

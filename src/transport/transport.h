@@ -1,17 +1,14 @@
 /// \file
-/// Transport: the message-passing seam between shards and the param server.
+/// Transport: the message-passing seam between trainers and the param server.
 ///
-/// Everything cross-shard used to be direct shared-memory access inside one
-/// process — boundary combines read neighbor stashes, the Trainer applied
-/// gradient updates in place. That caps the system at a single node. This
-/// interface factors the two cross-shard data flows (boundary-stash exchange,
-/// gradient push / parameter pull) behind typed channels with explicit
-/// send/recv/close and per-fabric message/byte counters, Dorylus-style: graph
-/// servers and a weight server communicating by messages. The in-process
-/// LocalTransport below preserves today's exact execution (zero-copy payload
-/// views, deterministic delivery order, bit-identical results); a socket
-/// transport can later implement the same interface without touching the
-/// runners (the seam this subsystem exists to cut).
+/// The gradient push / parameter pull flow runs behind typed channels with
+/// explicit send/recv/close and per-fabric message/byte counters,
+/// Dorylus-style: workers and a weight server communicating by messages.
+/// Boundary combines between shards stay direct shared-memory reads. The
+/// in-process LocalTransport below preserves exact execution (zero-copy
+/// payload views, deterministic delivery order, bit-identical results); a
+/// socket transport can later implement the same interface without touching
+/// the trainer.
 #pragma once
 
 #include <atomic>
@@ -27,11 +24,10 @@
 namespace triad::transport {
 
 /// One message on a channel. For the in-process transport `data` is a
-/// zero-copy view into sender-owned memory (a gradient tensor, the boundary
-/// stash); receivers must consume it before the sender's next step. `bytes`
-/// is the modeled wire size — what a socket transport would serialize — and
-/// is what the transport counters account, whether or not `data` is set
-/// (boundary publishes carry no pointer: the payload *is* the shared stash).
+/// zero-copy view into sender-owned memory (e.g. a gradient tensor);
+/// receivers must consume it before the sender's next step. `bytes` is the
+/// modeled wire size — what a socket transport would serialize — and is what
+/// the transport counters account, whether or not `data` is set.
 struct TransportMessage {
   int src = -1;                 ///< sending endpoint
   int dst = -1;                 ///< receiving endpoint
@@ -62,8 +58,8 @@ class Channel {
   virtual int dst() const = 0;
 };
 
-/// A fabric of N endpoints with one channel per ordered pair. Endpoint = one
-/// shard (boundary exchange) or one of {worker, server} (param server).
+/// A fabric of N endpoints with one channel per ordered pair (for the param
+/// server: one of {worker, server}).
 class Transport {
  public:
   virtual ~Transport() = default;
@@ -81,11 +77,8 @@ class Transport {
 ///    way.
 ///  * Push mode: set_delivery(endpoint, fn) installs a completion handler —
 ///    send() then invokes it inline on the sender's thread instead of
-///    queuing. This is how boundary publishes keep firing combines the
-///    instant the last dependency lands (the in-process analogue of a socket
-///    read callback), preserving the pipelined runner's execution order
-///    exactly. Hooks must be installed/cleared only while no sends are in
-///    flight (the pipelined fan-out's fork/join provides that window).
+///    queuing (the in-process analogue of a socket read callback). Hooks
+///    must be installed/cleared only while no sends are in flight.
 ///
 /// Counters are fabric-wide atomics (sends happen on pool threads); callers
 /// snapshot stats() around a run and charge the delta into the thread-local

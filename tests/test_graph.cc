@@ -135,6 +135,12 @@ TEST(Graph, SingleVertexGraph) {
 
 TEST(Graph, ZeroVerticesRejected) { EXPECT_THROW(Graph(0, {}), Error); }
 
+TEST(Graph, VertexCountBeyondInt32IdsRejected) {
+  // Vertex ids are int32: 2^32 vertices must fail before the CSR row
+  // pointers (|V| + 1 int64s, ~32 GiB here) are allocated.
+  EXPECT_THROW(Graph(std::int64_t{1} << 32, {}), Error);
+}
+
 TEST(Generators, ErdosRenyiShape) {
   Rng rng(1);
   Graph g = gen::erdos_renyi(100, 1000, rng);

@@ -1,6 +1,7 @@
 // Sharded-execution tests: bit-identical determinism across shard counts,
-// the ParallelPlanRunner surface, per-shard plan schedules, and the
-// combine-traffic accounting of the device model.
+// the ParallelPlanRunner surface, per-shard plan schedules, the
+// combine-traffic accounting of the device model, repeated direct VM runs of
+// the boundary combine, and the boundary-stash elision accounting.
 //
 // The determinism guarantee is structural, not statistical: owned-vertex
 // ranges are contiguous (per-vertex sequential reductions see the same edge
@@ -11,11 +12,13 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <unordered_map>
 #include <vector>
 
 #include "baselines/strategy.h"
 #include "engine/device.h"
 #include "engine/parallel_runner.h"
+#include "engine/vm.h"
 #include "graph/generators.h"
 #include "graph/partition.h"
 #include "models/models.h"
@@ -237,6 +240,171 @@ TEST(Sharded, CombineBytesChargedOnlyWhenSharded) {
   without.combine_bytes = 0;
   const DeviceProfile dev = rtx2080();
   EXPECT_GT(dev.modeled_seconds(with), dev.modeled_seconds(without));
+}
+
+// --- direct VM runs: repeated sharded combines and stash elision -----------
+
+struct Env {
+  std::unordered_map<int, Tensor> tensors;
+  std::unordered_map<int, Tensor> outs;
+  std::unordered_map<int, IntTensor> auxes;
+
+  VmBindings bindings() {
+    VmBindings b;
+    b.tensor = [this](int id) -> const Tensor& { return tensors.at(id); };
+    b.aux = [this](int id) -> const IntTensor& { return auxes.at(id); };
+    b.out = [this](int id) -> Tensor& { return outs.at(id); };
+    b.out_aux = [this](int id) -> IntTensor& { return auxes[id]; };
+    return b;
+  }
+};
+
+EPInstr load(EPOp op, int dst, int tensor, std::int64_t w) {
+  EPInstr i;
+  i.op = op;
+  i.dst = dst;
+  i.tensor = tensor;
+  i.width = w;
+  return i;
+}
+EPInstr binop(EPOp op, int dst, int a, int b, std::int64_t w) {
+  EPInstr i;
+  i.op = op;
+  i.dst = dst;
+  i.a = a;
+  i.b = b;
+  i.width = w;
+  return i;
+}
+EPInstr reduce(int a, int acc, std::int64_t w) {
+  EPInstr i;
+  i.op = EPOp::Reduce;
+  i.a = a;
+  i.acc = acc;
+  i.width = w;
+  return i;
+}
+
+/// Dst-major walk with a reduce-to-src Sum: every edge contributes through
+/// the boundary combine — the program shape sharding depends on most.
+/// `costly` adds arithmetic past the elision threshold so the per-edge
+/// stash path (not recompute) carries the contribution.
+EdgeProgram boundary_program(std::int64_t f, bool costly) {
+  EdgeProgram ep;
+  ep.mapping = WorkMapping::VertexBalanced;
+  ep.dst_major = true;
+  ep.phases.resize(1);
+  if (costly) {
+    // ((x_u + x_v) * x_u) - x_v: 3 arithmetic ops -> stash, not recompute.
+    ep.phases[0].instrs = {load(EPOp::LoadU, 0, 0, f),
+                           load(EPOp::LoadV, 1, 0, f),
+                           binop(EPOp::Add, 2, 0, 1, f),
+                           binop(EPOp::Mul, 3, 2, 0, f),
+                           binop(EPOp::Sub, 4, 3, 1, f),
+                           reduce(4, 0, f)};
+    ep.num_regs = 5;
+    ep.reg_width = {f, f, f, f, f};
+  } else {
+    // x_u + x_v: cheap enough that the combine recomputes it per edge.
+    ep.phases[0].instrs = {load(EPOp::LoadU, 0, 0, f),
+                           load(EPOp::LoadV, 1, 0, f),
+                           binop(EPOp::Add, 2, 0, 1, f), reduce(2, 0, f)};
+    ep.num_regs = 3;
+    ep.reg_width = {f, f, f};
+  }
+  ep.vertex_outputs.push_back({1, static_cast<std::uint8_t>(ReduceFn::Sum), f,
+                               0, /*reverse=*/true, false, false});
+  return ep;
+}
+
+TEST(Sharded, BoundarySumRepeatedRunsBitIdentical) {
+  // Repeated K=8 sharded runs against a fixed unsharded reference: every
+  // interleaving of the shard walk and owner-range combine tasks must produce
+  // the same bits. (Single-core hosts serialize the tasks; the CI TSan job
+  // runs this with real threads.)
+  Rng rng(11);
+  const Graph g = test_graph();
+  const std::int64_t n = g.num_vertices(), f = 4;
+  const Partitioning part =
+      Partitioning::build(g, 8, PartitionStrategy::DegreeBalanced);
+  for (const bool costly : {false, true}) {
+    const EdgeProgram ep = boundary_program(f, costly);
+    Env env;
+    env.tensors.emplace(0, Tensor::randn(n, f, rng));
+    env.outs.emplace(1, Tensor::zeros(n, f));
+    run_edge_program(g, ep, env.bindings());
+    const Tensor ref = env.outs.at(1).clone();
+    for (int rep = 0; rep < 25; ++rep) {
+      env.outs.at(1).fill(0.f);
+      run_edge_program_sharded(g, part, ep, env.bindings());
+      expect_bit_identical(ref, env.outs.at(1), "sharded boundary sum");
+    }
+  }
+}
+
+TEST(Sharded, StashElisionSavesBytesAndStaysExact) {
+  Rng rng(13);
+  const Graph g = test_graph();
+  const std::int64_t n = g.num_vertices(), f = 4;
+  const EdgeProgram ep = boundary_program(f, /*costly=*/false);
+  Env env;
+  env.tensors.emplace(0, Tensor::randn(n, f, rng));
+  env.outs.emplace(1, Tensor::zeros(n, f));
+  CounterScope scope;
+  run_edge_program(g, ep, env.bindings());
+  const PerfCounters d = scope.delta();
+  // The one boundary output is cheap -> elided: the |E| x f stash is never
+  // allocated and its bytes are reported as saved.
+  EXPECT_EQ(d.boundary_stash_bytes, 0u);
+  EXPECT_EQ(d.boundary_stash_saved_bytes,
+            static_cast<std::uint64_t>(g.num_edges()) * f * sizeof(float));
+
+  // Recompute must reproduce the exact fold: out[u] = sum over outgoing
+  // edges (u, v) in out-CSC order of x_u + x_v.
+  Tensor expect = Tensor::zeros(n, f);
+  for (std::int64_t u = 0; u < n; ++u) {
+    float* row = expect.row(u);
+    const float* xu = env.tensors.at(0).row(u);
+    for (std::int64_t i = g.out_ptr()[u]; i < g.out_ptr()[u + 1]; ++i) {
+      const float* xv = env.tensors.at(0).row(g.out_dst()[i]);
+      for (std::int64_t j = 0; j < f; ++j) row[j] += xu[j] + xv[j];
+    }
+  }
+  expect_bit_identical(expect, env.outs.at(1), "elided boundary sum");
+}
+
+TEST(Sharded, CostlyBoundaryKeepsStash) {
+  Rng rng(17);
+  const Graph g = test_graph();
+  const std::int64_t n = g.num_vertices(), f = 4;
+  const EdgeProgram ep = boundary_program(f, /*costly=*/true);
+  Env env;
+  env.tensors.emplace(0, Tensor::randn(n, f, rng));
+  env.outs.emplace(1, Tensor::zeros(n, f));
+  CounterScope scope;
+  run_edge_program(g, ep, env.bindings());
+  const PerfCounters d = scope.delta();
+  EXPECT_EQ(d.boundary_stash_bytes,
+            static_cast<std::uint64_t>(g.num_edges()) * f * sizeof(float));
+  EXPECT_EQ(d.boundary_stash_saved_bytes, 0u);
+}
+
+TEST(Sharded, WalkTimeChargedAndNoCombineOverlap) {
+  const Graph g = test_graph();
+  const auto build = [](Rng& r) {
+    GcnConfig cfg;
+    cfg.in_dim = 6;
+    cfg.hidden = {8};
+    cfg.num_classes = 4;
+    return build_gcn(cfg, r);
+  };
+  CounterScope scope;
+  train_run(g, build, 4, PartitionStrategy::DegreeBalanced, 1, 6,
+            ours_no_specialize());
+  const PerfCounters d = scope.delta();
+  EXPECT_GT(d.walk_ns, 0u);
+  // Every combine runs after the walk join, so none overlaps a walk.
+  EXPECT_EQ(d.combine_overlap_ns, 0u);
 }
 
 }  // namespace

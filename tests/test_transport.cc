@@ -1,13 +1,12 @@
-// Transport layer (src/transport/): the message-passing seam for cross-shard
-// flows, and the ParamServer split of training state.
+// Transport layer (src/transport/): the message-passing seam, and the
+// ParamServer split of training state.
 //
 // Three contracts are pinned here:
 //  * LocalTransport semantics — pull-mode FIFO channels, push-mode inline
-//    delivery, fabric-wide message/byte accounting — and the ExchangePlan's
-//    per-ordered-pair cut counts against a brute-force edge sweep;
-//  * bit-identity: routing boundary publishes and parameter updates through
-//    the transport must not perturb a single bit. Every model × strategy × K
-//    comparison is memcmp against the direct-memory (--no-transport) path;
+//    delivery, fabric-wide message/byte accounting;
+//  * bit-identity: routing parameter updates through the transport must not
+//    perturb a single bit. Every model × strategy × K comparison is memcmp
+//    against the unsharded direct-memory (--no-transport) anchor;
 //  * ParamServer state ownership — the optimizer and its momentum/Adam state
 //    live server-side, attach() runs exactly once, and N push/pull round
 //    trips reproduce the direct in-place update bit for bit.
@@ -33,7 +32,6 @@
 #include "serve/host.h"
 #include "support/counters.h"
 #include "support/rng.h"
-#include "transport/exchange.h"
 #include "transport/param_server.h"
 #include "transport/transport.h"
 
@@ -41,7 +39,6 @@ namespace triad {
 namespace {
 
 using serve::ServingHost;
-using transport::ExchangePlan;
 using transport::LocalTransport;
 using transport::ParamServer;
 using transport::TransportMessage;
@@ -157,38 +154,6 @@ TEST(Transport, PushModeDeliversInlineOnSenderThread) {
   auto pulled = fabric.channel(0, 1).try_recv();
   ASSERT_TRUE(pulled.has_value());
   EXPECT_EQ(pulled->tag, 99u);
-}
-
-TEST(Transport, ExchangePlanMatchesBruteForceCutCounts) {
-  const Graph g = test_graph();
-  const Partitioning part =
-      Partitioning::build(g, 4, PartitionStrategy::DegreeBalanced);
-  const ExchangePlan plan(g, part);
-  ASSERT_EQ(plan.num_shards(), 4);
-
-  // Brute force: count cut edges per (owner(dst), owner(src)) pair.
-  std::vector<std::int64_t> d2s(16, 0);
-  for (std::int64_t e = 0; e < g.num_edges(); ++e) {
-    const int os = part.owner_of(g.edge_src()[static_cast<std::size_t>(e)]);
-    const int od = part.owner_of(g.edge_dst()[static_cast<std::size_t>(e)]);
-    if (os != od) ++d2s[static_cast<std::size_t>(od) * 4 + os];
-  }
-  std::int64_t total = 0;
-  for (int from = 0; from < 4; ++from) {
-    EXPECT_EQ(plan.cut(true, from, from), 0);  // diagonal never crosses
-    for (int to = 0; to < 4; ++to) {
-      // dst-major walk: shard `from` walks its owned destinations and stashes
-      // contributions for src-owner `to`; src-major is the transpose.
-      EXPECT_EQ(plan.cut(/*dst_major=*/true, from, to),
-                d2s[static_cast<std::size_t>(from) * 4 + to])
-          << "dst-major " << from << "->" << to;
-      EXPECT_EQ(plan.cut(/*dst_major=*/false, from, to),
-                d2s[static_cast<std::size_t>(to) * 4 + from])
-          << "src-major " << from << "->" << to;
-      total += plan.cut(true, from, to);
-    }
-  }
-  EXPECT_GT(total, 0);  // an rmat graph at K=4 must cut something
 }
 
 // --- end-to-end bit identity -------------------------------------------------
