@@ -51,7 +51,6 @@ struct Options {
   int threads = 0;           ///< global pool size override (0 = auto)
   unsigned seed = 42;
   bool specialize = true;    ///< bind specialized kernel cores (--no-specialize)
-  bool transport = true;     ///< ParamServer parameter updates (--no-transport)
   bool json = true;          ///< emit BENCH_<name>.json
   std::string json_dir = "."; ///< where to write it
   std::string dump_ir;       ///< write one DOT file per pipeline stage here
@@ -71,7 +70,6 @@ struct Options {
       if (const char* v = val("--json-dir")) o.json_dir = v;
       if (const char* v = val("--dump-ir")) o.dump_ir = v;
       if (std::strcmp(argv[i], "--no-specialize") == 0) o.specialize = false;
-      if (std::strcmp(argv[i], "--no-transport") == 0) o.transport = false;
       if (std::strcmp(argv[i], "--no-json") == 0) o.json = false;
       if (std::strcmp(argv[i], "--full") == 0) {
         o.scale = 1.0;
@@ -142,12 +140,6 @@ inline std::shared_ptr<const Compiled> engine_compile(
     // interpreter-only artifacts must never alias.
     co.strategy.specialize = false;
     co.strategy.name += "(-specialize)";
-  }
-  if (!opt.transport && co.strategy.transport) {
-    // In-place update ablation run (no ParamServer); same cache-key
-    // reasoning as above.
-    co.strategy.transport = false;
-    co.strategy.name += "(-transport)";
   }
   co.shards = opt.shards;
   co.init_seed = opt.seed + 1;

@@ -112,7 +112,7 @@ bench::Measurement time_program(const Graph& g, const ProgramCase& pc,
 
 /// GCN weighted sum: [LoadU feat; Reduce Sum] — also the shape of the GCN
 /// backward gather (src-major there; orientation-neutral for the matcher).
-ProgramCase build_gcn_wsum(const Graph& g, std::int64_t f, Rng& rng) {
+ProgramCase gcn_wsum_case(const Graph& g, std::int64_t f, Rng& rng) {
   ProgramCase pc;
   pc.name = "gcn_wsum";
   pc.inputs.emplace(0, Tensor::randn(g.num_vertices(), f, rng));
@@ -130,7 +130,7 @@ ProgramCase build_gcn_wsum(const Graph& g, std::int64_t f, Rng& rng) {
 }
 
 /// EdgeConv: max-reduce of (x_u - x_v + y_v) with argmax tracking.
-ProgramCase build_edgeconv_max(const Graph& g, std::int64_t f, Rng& rng) {
+ProgramCase edgeconv_max_case(const Graph& g, std::int64_t f, Rng& rng) {
   ProgramCase pc;
   pc.name = "edgeconv_max";
   pc.inputs.emplace(0, Tensor::randn(g.num_vertices(), f, rng));
@@ -154,7 +154,7 @@ ProgramCase build_edgeconv_max(const Graph& g, std::int64_t f, Rng& rng) {
 
 /// GAT edge-softmax-weighted gather: 3 phases (max, exp-sum, normalize +
 /// MulHead gather), the leaky-relu score recomputed in registers per phase.
-ProgramCase build_gat_softmax(const Graph& g, std::int64_t h, std::int64_t f,
+ProgramCase gat_softmax_case(const Graph& g, std::int64_t h, std::int64_t f,
                               Rng& rng) {
   const std::int64_t w = h * f;
   const float alpha = 0.2f;
@@ -210,7 +210,7 @@ ProgramCase build_gat_softmax(const Graph& g, std::int64_t h, std::int64_t f,
 
 /// MoNet: gaussian mixture weights from edge pseudo-coordinates, MulHead
 /// gather, Sum reduce. `k` mixture kernels over pseudo dimension r=2.
-ProgramCase build_monet_gauss(const Graph& g, std::int64_t k, std::int64_t f,
+ProgramCase monet_gauss_case(const Graph& g, std::int64_t k, std::int64_t f,
                               Rng& rng) {
   const std::int64_t w = k * f;
   const std::int64_t r = 2;
@@ -280,7 +280,7 @@ ProgramCase build_maxbwd_gather(const Graph& g, std::int64_t w, Rng& rng) {
 
 /// GAT score gradient: (dL/de - masked softmax sum) gated by the leaky-relu
 /// derivative of the raw score; dual Sum reduce (dst sequential, src boundary).
-ProgramCase build_gat_scorebwd(const Graph& g, std::int64_t h, Rng& rng) {
+ProgramCase gat_scorebwd_case(const Graph& g, std::int64_t h, Rng& rng) {
   const float alpha = 0.2f;
   ProgramCase pc;
   pc.name = "gat_scorebwd";
@@ -486,19 +486,19 @@ int run(int argc, char** argv) {
 
   Rng rng(11);
   for (const std::int64_t w : {std::int64_t{16}, std::int64_t{64}}) {
-    run_case(report, g, build_gcn_wsum(g, w, rng), w, opt, reps);
+    run_case(report, g, gcn_wsum_case(g, w, rng), w, opt, reps);
   }
   // Odd width: no 16/32/64 template instantiation — exercises the
   // runtime-width fallback core ("gcn_wsum/dyn" in the JSON core field).
-  run_case(report, g, build_gcn_wsum(g, 48, rng), 48, opt, reps);
+  run_case(report, g, gcn_wsum_case(g, 48, rng), 48, opt, reps);
   for (const std::int64_t w : {std::int64_t{16}, std::int64_t{64}}) {
-    run_case(report, g, build_edgeconv_max(g, w, rng), w, opt, reps);
+    run_case(report, g, edgeconv_max_case(g, w, rng), w, opt, reps);
   }
   for (const std::int64_t f : {std::int64_t{16}, std::int64_t{64}}) {
-    run_case(report, g, build_gat_softmax(g, 4, f, rng), f, opt, reps);
+    run_case(report, g, gat_softmax_case(g, 4, f, rng), f, opt, reps);
   }
   for (const std::int64_t f : {std::int64_t{16}, std::int64_t{64}}) {
-    run_case(report, g, build_monet_gauss(g, 4, f, rng), f, opt, reps);
+    run_case(report, g, monet_gauss_case(g, 4, f, rng), f, opt, reps);
   }
 
   // Training shapes: the gradient programs the optimizer emits under
@@ -512,7 +512,7 @@ int run(int argc, char** argv) {
   // the chain in the combine would cost more than the stash it elides.
   for (const std::int64_t h :
        {std::int64_t{2}, std::int64_t{4}, std::int64_t{8}}) {
-    run_case(report, g, build_gat_scorebwd(g, h, rng), h, opt, reps);
+    run_case(report, g, gat_scorebwd_case(g, h, rng), h, opt, reps);
   }
   for (const std::int64_t f : {std::int64_t{16}, std::int64_t{64}}) {
     run_case(report, g, build_gauss_bwd(g, 2, f, rng), f, opt, reps);

@@ -2,12 +2,10 @@
 /// Stock modules: the paper's four workloads on the typed front-end.
 ///
 /// Each module builds the *paper-order* forward computation (Scatter before
-/// ApplyEdge, expanded edge-softmax) — exactly the IR the legacy
-/// `build_gcn` / `build_gat` / `build_edgeconv` / `build_monet` functions
-/// produced; those functions are now thin shims over these modules, and
-/// tests/test_api.cc asserts the IR is bit-identical either way. The config
-/// structs are shared with the legacy surface (models/models.h), including
-/// the baseline hand-optimization flags (`GatConfig::prereorganized`,
+/// ApplyEdge, expanded edge-softmax) so that the optimization passes, not the
+/// module, are responsible for every speedup; `Gat(cfg).build(rng)` returns
+/// the ModelGraph. The config structs live in models/models.h, including the
+/// baseline hand-optimization flags (`GatConfig::prereorganized`,
 /// `builtin_softmax`).
 ///
 /// Parameters are registered per layer under a "layerN" scope, so a module

@@ -76,13 +76,6 @@ Strategy ours_no_specialize() {
   return s;
 }
 
-Strategy ours_no_transport() {
-  Strategy s = ours();
-  s.name = "Ours(-transport)";
-  s.transport = false;
-  return s;
-}
-
 namespace {
 
 int find_by_name(const IrGraph& g, const std::string& name) {
@@ -186,8 +179,7 @@ Compiled compile_model(ModelGraph model, const Strategy& s, bool training,
     // populated alongside it so introspection code works uniformly whether
     // or not a plan was baked.
     c.plan = ExecutionPlan::compile_shared(ir, num_vertices, num_edges,
-                                           partition.get(), s.specialize,
-                                           s.transport);
+                                           partition.get(), s.specialize);
     c.stats.plan_seconds = c.plan->compile_seconds();
     c.partition = std::move(partition);
     // Surface the core-selection outcome in the compile report: one entry per

@@ -56,12 +56,6 @@ struct Strategy {
   /// time (engine/specialize.h). On for every preset — output is bit-identical
   /// either way — with ours_no_specialize() as the ablation point.
   bool specialize = true;
-  /// Route training parameter updates through a ParamServer
-  /// (src/transport/) that the Trainer pushes gradients to and pulls weights
-  /// from. This is all the knob selects. On for every preset — in-process
-  /// delivery keeps output bit-identical — with ours_no_transport() as the
-  /// ablation point (weights updated in place).
-  bool transport = true;
 };
 
 Strategy dgl_like();
@@ -73,7 +67,6 @@ Strategy ours_no_fusion();
 Strategy ours_fusion_stash();  ///< fusion without recomputation (Fig. 10 middle)
 Strategy ours_no_optimize();   ///< generic optimizer off (compile-cost ablation)
 Strategy ours_no_specialize(); ///< interpreter-only edge programs (kernel-core ablation)
-Strategy ours_no_transport();  ///< in-Trainer updates, no ParamServer
 
 /// Compile-phase accounting: per-pass wall time (from the PassManager) plus
 /// the ExecutionPlan build time. The benchmark harness reports this

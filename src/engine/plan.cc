@@ -34,8 +34,8 @@ MemTag tag_of(const Node& n, int last_consumer, int backward_start) {
 
 ExecutionPlan ExecutionPlan::compile(IrGraph ir, std::int64_t num_vertices,
                                      std::int64_t num_edges,
-                                     const Partitioning* part, bool specialize,
-                                     bool transport) {
+                                     const Partitioning* part,
+                                     bool specialize) {
   Timer timer;
   ir.validate(num_vertices, num_edges);
   if (part != nullptr) {
@@ -246,7 +246,6 @@ ExecutionPlan ExecutionPlan::compile(IrGraph ir, std::int64_t num_vertices,
   }
 
   p.ir_ = std::move(ir);
-  p.transport_ = transport;
   p.compile_seconds_ = timer.seconds();
   ++global_counters().plan_compiles;
   return p;
@@ -254,9 +253,9 @@ ExecutionPlan ExecutionPlan::compile(IrGraph ir, std::int64_t num_vertices,
 
 std::shared_ptr<const ExecutionPlan> ExecutionPlan::compile_shared(
     IrGraph ir, std::int64_t num_vertices, std::int64_t num_edges,
-    const Partitioning* part, bool specialize, bool transport) {
-  return std::make_shared<const ExecutionPlan>(compile(
-      std::move(ir), num_vertices, num_edges, part, specialize, transport));
+    const Partitioning* part, bool specialize) {
+  return std::make_shared<const ExecutionPlan>(
+      compile(std::move(ir), num_vertices, num_edges, part, specialize));
 }
 
 std::size_t ExecutionPlan::max_shard_peak_bytes() const {

@@ -32,7 +32,7 @@ namespace triad {
 
 /// Precomputed per-node execution record. `free_after` lists the node ids
 /// whose slot (and aux) die once this step has executed — the compile-time
-/// form of the liveness countdown the old Executor ran every epoch.
+/// form of a per-run liveness countdown.
 struct PlanStep {
   MemTag tag = MemTag::kActivations;
   std::int64_t rows = 0;        ///< resolved against |V| / |E| / param rows
@@ -63,18 +63,14 @@ class ExecutionPlan {
   /// carries a per-shard schedule (scaled footprints + per-shard peak
   /// estimates). `specialize` runs the core matcher over every edge program
   /// (see engine/specialize.h); false pins everything to the interpreter (the
-  /// ablation knob). `transport` routes training parameter updates through
-  /// a ParamServer (src/transport/); false updates weights in place (the
-  /// --no-transport ablation). Output is bit-identical either way. The plan
-  /// is immutable afterwards.
+  /// ablation knob). The plan is immutable afterwards.
   static ExecutionPlan compile(IrGraph ir, std::int64_t num_vertices,
                                std::int64_t num_edges,
                                const Partitioning* part = nullptr,
-                               bool specialize = true, bool transport = true);
+                               bool specialize = true);
   static std::shared_ptr<const ExecutionPlan> compile_shared(
       IrGraph ir, std::int64_t num_vertices, std::int64_t num_edges,
-      const Partitioning* part = nullptr, bool specialize = true,
-      bool transport = true);
+      const Partitioning* part = nullptr, bool specialize = true);
 
   ExecutionPlan(ExecutionPlan&&) = default;
   ExecutionPlan& operator=(ExecutionPlan&&) = default;
@@ -114,9 +110,6 @@ class ExecutionPlan {
   /// Wall time compile() spent building this plan.
   double compile_seconds() const { return compile_seconds_; }
 
-  /// Whether training parameter updates go through a ParamServer.
-  bool transport() const { return transport_; }
-
   /// Core binding selected for edge program `program` (kind == None when the
   /// matcher declined it or the plan was compiled with specialize=false).
   const CoreBinding& core(int program) const { return cores_[program]; }
@@ -137,11 +130,10 @@ class ExecutionPlan {
   std::vector<ShardSchedule> shards_;
   std::vector<CoreBinding> cores_;  ///< per-program, parallel to ir().programs
   double compile_seconds_ = 0.0;
-  bool transport_ = true;
 };
 
-/// Per-request execution state over a shared immutable plan. Replaces the
-/// run-time half of the old Executor; all analysis lives in ExecutionPlan.
+/// Per-request execution state over a shared immutable plan; all analysis
+/// lives in ExecutionPlan.
 class PlanRunner {
  public:
   PlanRunner(const Graph& graph, std::shared_ptr<const ExecutionPlan> plan,

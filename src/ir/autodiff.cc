@@ -303,6 +303,7 @@ BackwardResult build_backward(IrGraph& g, int output) {
           case ApplyFn::SliceCols:
             TRIAD_CHECK(false, "SliceCols backward not supported "
                                "(slices only appear in backward graphs)");
+            break;
           default:
             TRIAD_CHECK(false, "no backward rule for Apply."
                                    << to_string(node.afn));

@@ -5,7 +5,7 @@
 //   * Gather  -> Scatter (+ ApplyEdge),
 //   * Scatter -> Gather (+ ApplyVertex),
 //   * Apply-  -> two Apply- (input grad, weight grad).
-// build_backward appends those nodes to the same IrGraph (so one Executor run
+// build_backward appends those nodes to the same IrGraph (so one PlanRunner run
 // performs a full training step) and records which node holds each
 // parameter's gradient. IrGraph::backward_start marks the boundary — every
 // forward tensor consumed past it is precisely the "intermediate data stashed

@@ -14,6 +14,7 @@ int gsddmm(IrGraph& g, BinaryOp op, int u_feat, int v_feat, std::int64_t heads) 
       // u / v = u * (1/v): no reciprocal primitive is needed by the models,
       // so expose Div as Mul of a precomputed reciprocal — reject here.
       TRIAD_CHECK(false, "gsddmm Div is not provided; precompute a reciprocal");
+      break;
     }
     case BinaryOp::CopyLhs:
       return g.scatter(ScatterFn::CopyU, u_feat, -1, "gsddmm_copy_u");

@@ -324,12 +324,14 @@ int IrGraph::special(SpecialFn fn, std::vector<int> inputs, std::int64_t rows,
 }
 
 std::string IrGraph::describe(int id) const {
+  std::ostringstream os;
+  os << "%" << id;
   if (id < 0 || id >= size()) {
-    return "%" + std::to_string(id) + " <no such node>";
+    os << " <no such node>";
+    return os.str();
   }
   const Node& n = nodes_[static_cast<std::size_t>(id)];
-  std::ostringstream os;
-  os << "%" << id << " " << to_string(n.kind);
+  os << " " << to_string(n.kind);
   switch (n.kind) {
     case OpKind::Scatter: os << "." << to_string(n.sfn); break;
     case OpKind::Gather: os << "." << to_string(n.rfn); break;

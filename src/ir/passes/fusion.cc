@@ -594,7 +594,7 @@ IrGraph fusion_pass(const IrGraph& in, const FusionOptions& opts,
       }
     }
   }
-  TRIAD_CHECK_EQ(order.size(), [&] {
+  TRIAD_CHECK_EQ(static_cast<int>(order.size()), [&] {
     int c = 0;
     for (int u = 0; u < nunits; ++u) c += active[u];
     return c;

@@ -2,29 +2,7 @@
 
 #include <cmath>
 
-#include "api/models.h"
-
 namespace triad {
-
-// The legacy builders are thin shims over the api:: modules — one front-end,
-// two spellings. tests/test_api.cc asserts the IR is bit-identical through
-// either path under both ours() and naive().
-
-ModelGraph build_gcn(const GcnConfig& cfg, Rng& rng) {
-  return api::Gcn(cfg).build(rng);
-}
-
-ModelGraph build_gat(const GatConfig& cfg, Rng& rng) {
-  return api::Gat(cfg).build(rng);
-}
-
-ModelGraph build_edgeconv(const EdgeConvConfig& cfg, Rng& rng) {
-  return api::EdgeConv(cfg).build(rng);
-}
-
-ModelGraph build_monet(const MoNetConfig& cfg, Rng& rng) {
-  return api::MoNet(cfg).build(rng);
-}
 
 Tensor make_pseudo_coords(const Graph& g, std::int64_t dim) {
   Tensor p(g.num_edges(), dim, MemTag::kInput);

@@ -1,11 +1,10 @@
-// GNN model builders.
+// GNN model configurations and the built-model record.
 //
-// Each builder constructs the *paper-order* forward IR (Figure 3(a) /
-// Figure 12 of the appendix) — Scatter before ApplyEdge, expanded
-// edge-softmax — so that the optimization passes, not the builder, are
-// responsible for every speedup. Flags reproduce the hand-optimizations the
-// baselines ship (DGL's pre-reorganized GAT module, built-in fused
-// edge-softmax).
+// The api:: modules (api/models.h) build each model's *paper-order* forward
+// IR (Figure 3(a) / Figure 12 of the appendix) from these configs —
+// `api::Gat(cfg).build(rng)` returns a ModelGraph. Flags reproduce the
+// hand-optimizations the baselines ship (DGL's pre-reorganized GAT module,
+// built-in fused edge-softmax).
 #pragma once
 
 #include <cstdint>
@@ -14,7 +13,6 @@
 
 #include "graph/csr.h"
 #include "ir/graph.h"
-#include "support/rng.h"
 #include "tensor/tensor.h"
 
 namespace triad {
@@ -34,7 +32,6 @@ struct GcnConfig {
   std::vector<std::int64_t> hidden = {16};
   std::int64_t num_classes = 4;
 };
-ModelGraph build_gcn(const GcnConfig& cfg, Rng& rng);
 
 struct GatConfig {
   std::int64_t in_dim = 16;
@@ -56,7 +53,6 @@ struct GatConfig {
   /// of §7.3 ("head=4 with feature dimension=64").
   bool classify_last = true;
 };
-ModelGraph build_gat(const GatConfig& cfg, Rng& rng);
 
 struct EdgeConvConfig {
   std::int64_t in_dim = 3;
@@ -66,7 +62,6 @@ struct EdgeConvConfig {
   /// When false, omit the classifier head (forward-only ablations).
   bool classify = true;
 };
-ModelGraph build_edgeconv(const EdgeConvConfig& cfg, Rng& rng);
 
 struct MoNetConfig {
   std::int64_t in_dim = 16;
@@ -77,7 +72,6 @@ struct MoNetConfig {
   std::int64_t num_classes = 4;
   bool classify_last = true;    ///< as in GatConfig
 };
-ModelGraph build_monet(const MoNetConfig& cfg, Rng& rng);
 
 /// Degree-based pseudo-coordinates for MoNet: per edge (u→v),
 /// [1/√deg(u), 1/√deg(v), 1, …] truncated/padded to `dim` columns.

@@ -32,16 +32,16 @@ Trainer::Trainer(std::shared_ptr<const Compiled> model, const Graph& graph,
     weights_.push_back(model_->init[i].clone(MemTag::kWeights, pool));
     runner_.bind(model_->params[i], weights_.back());
   }
-  if (!model_->param_grads.empty() && runner_.plan().transport()) {
+  if (!model_->param_grads.empty()) {
     // The server gets its own clones of the initial weights — identical
-    // values to weights_, so pushed updates land bit-for-bit where the old
-    // in-place update would have put them.
+    // values to weights_, so pulled weights are bit-for-bit what an in-place
+    // update of weights_ would produce.
     std::vector<Tensor> server_params;
     server_params.reserve(model_->init.size());
     for (const Tensor& w : model_->init)
       server_params.push_back(w.clone(MemTag::kWeights, pool));
-    param_server_ = std::make_unique<transport::ParamServer>(
-        std::move(server_params), pool);
+    param_server_ =
+        std::make_unique<transport::ParamServer>(std::move(server_params));
   }
   if (model_->partition != nullptr) enable_sharding(model_->partition);
 }
@@ -51,11 +51,6 @@ Trainer::~Trainer() = default;
 void Trainer::enable_sharding(std::shared_ptr<const Partitioning> part) {
   partition_ = std::move(part);
   runner_.set_partitioning(partition_.get());
-}
-
-void Trainer::enable_sharding(int num_shards, PartitionStrategy strategy) {
-  enable_sharding(std::make_shared<const Partitioning>(
-      Partitioning::build(runner_.graph(), num_shards, strategy)));
 }
 
 Trainer::Trainer(Compiled model, const Graph& graph, Tensor features,
@@ -77,24 +72,16 @@ StepMetrics Trainer::train_step(const IntTensor& labels, float lr) {
   runner_.bind(model_->seed, std::move(seed));
   runner_.run_backward();
 
+  // The server applies the update (its optimizer or plain SGD) to its
+  // authoritative copies; pulling writes the fresh weights into weights_,
+  // whose storage the runner's param slots alias. A parameterless model has
+  // no server and nothing to update.
   if (param_server_ != nullptr) {
-    // Transport path: the server applies the update (its optimizer or plain
-    // SGD) to its authoritative copies; pulling writes the fresh weights
-    // into weights_, whose storage the runner's param slots alias.
     std::vector<const Tensor*> grads;
     grads.reserve(weights_.size());
     for (int gnode : model_->param_grads) grads.push_back(&runner_.result(gnode));
     param_server_->push_grads(grads, lr);
     param_server_->pull_params(weights_);
-  } else if (optimizer_ != nullptr) {
-    std::vector<const Tensor*> grads;
-    grads.reserve(weights_.size());
-    for (int gnode : model_->param_grads) grads.push_back(&runner_.result(gnode));
-    optimizer_->step(weights_, grads);
-  } else {
-    for (std::size_t i = 0; i < weights_.size(); ++i) {
-      ops::axpy(weights_[i], runner_.result(model_->param_grads[i]), -lr);
-    }
   }
 
   m.seconds = timer.seconds();
@@ -126,14 +113,10 @@ StepMetrics Trainer::forward(const IntTensor& labels) {
 }
 
 void Trainer::set_optimizer(std::unique_ptr<Optimizer> opt) {
-  if (param_server_ != nullptr) {
-    // Optimizer state (momentum, Adam moments) lives with the parameters —
-    // on the server. attach() runs there, against the server's tensors.
-    param_server_->set_optimizer(std::move(opt));
-    return;
-  }
-  optimizer_ = std::move(opt);
-  if (optimizer_ != nullptr) optimizer_->attach(weights_);
+  TRIAD_CHECK(param_server_ != nullptr, "model has no parameters to train");
+  // Optimizer state (momentum, Adam moments) lives with the parameters — on
+  // the server. attach() runs there, against the server's tensors.
+  param_server_->set_optimizer(std::move(opt));
 }
 
 float Trainer::evaluate(const IntTensor& labels) {

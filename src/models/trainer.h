@@ -51,8 +51,9 @@ class Trainer {
   /// One full-batch training step (forward + loss + backward + SGD update).
   StepMetrics train_step(const IntTensor& labels, float lr = 1e-2f);
 
-  /// Installs an optimizer; subsequent train_step calls use it instead of
-  /// the plain-SGD default (the lr argument is then ignored).
+  /// Installs an optimizer on the ParamServer; subsequent train_step calls
+  /// use it instead of the plain-SGD default (the lr argument is then
+  /// ignored).
   void set_optimizer(std::unique_ptr<Optimizer> opt);
 
   /// Shards fused-kernel execution across the partitioning's owned-vertex
@@ -62,9 +63,6 @@ class Trainer {
   /// nullptr to fall back to unsharded execution. `--shards N` in the bench
   /// harness lands here.
   void enable_sharding(std::shared_ptr<const Partitioning> part);
-  /// Convenience: builds a fresh K-way partitioning over the graph.
-  void enable_sharding(int num_shards,
-                       PartitionStrategy strategy = PartitionStrategy::DegreeBalanced);
   const Partitioning* partitioning() const { return partition_.get(); }
 
   /// Forward only; returns loss (no update).
@@ -75,14 +73,13 @@ class Trainer {
 
   const Tensor& logits() const { return runner_.result(model_->output); }
   PlanRunner& runner() { return runner_; }
-  PlanRunner& executor() { return runner_; }  ///< legacy name for runner()
   const Compiled& model() const { return *model_; }
 
-  /// Param-server seam (src/transport/param_server.h). Non-null when the
-  /// model trains and its plan compiled with transport=true: the server owns
-  /// the authoritative weights and the optimizer, and train_step does
-  /// explicit push_grads/pull_params instead of updating in place. Null
-  /// (--no-transport, or inference-only) keeps the direct in-place update.
+  /// Param-server seam (src/transport/param_server.h). Non-null whenever
+  /// the model has parameter gradients: the server owns the authoritative
+  /// weights and the optimizer, and train_step updates the weights by
+  /// push_grads/pull_params. Null for inference-only or parameterless
+  /// models.
   transport::ParamServer* param_server() { return param_server_.get(); }
 
  private:
@@ -90,7 +87,6 @@ class Trainer {
   PlanRunner runner_;
   std::shared_ptr<const Partitioning> partition_;  // null = unsharded
   std::vector<Tensor> weights_;  // persistent parameter tensors
-  std::unique_ptr<Optimizer> optimizer_;
   std::unique_ptr<transport::ParamServer> param_server_;
 };
 

@@ -1,5 +1,6 @@
 #include "transport/param_server.h"
 
+#include <cstdint>
 #include <cstring>
 
 #include "support/counters.h"
@@ -8,14 +9,8 @@
 
 namespace triad::transport {
 
-ParamServer::ParamServer(std::vector<Tensor> params, MemoryPool* pool)
-    : params_(std::move(params)),
-      // One in-flight message per parameter plus the pull request.
-      fabric_(2, params_.size() + 2) {
-  grad_buf_.reserve(params_.size());
-  for (const Tensor& p : params_)
-    grad_buf_.push_back(p.clone(MemTag::kGradient, pool));
-}
+ParamServer::ParamServer(std::vector<Tensor> params)
+    : params_(std::move(params)) {}
 
 void ParamServer::set_optimizer(std::unique_ptr<Optimizer> opt) {
   optimizer_ = std::move(opt);
@@ -29,81 +24,37 @@ void ParamServer::push_grads(const std::vector<const Tensor*>& grads,
                              float lr) {
   TRIAD_CHECK_EQ(grads.size(), params_.size(),
                  "param server: gradient count mismatch");
-  const TransportStats before = fabric_.stats();
-  Channel& up = fabric_.channel(kWorker, kServer);
+  std::uint64_t pushed = 0;
   for (std::size_t i = 0; i < grads.size(); ++i) {
-    TransportMessage m;
-    m.src = kWorker;
-    m.dst = kServer;
-    m.tag = static_cast<std::uint32_t>(i);
-    m.data = grads[i]->data();
-    m.bytes = grads[i]->bytes();
-    up.send(m);
-  }
-  // --- Server side. Receiver owns its copy: gradients land in the server's
-  // buffers before any update math, so nothing below reads worker memory —
-  // the exact structure a cross-process server needs.
-  for (std::size_t i = 0; i < grads.size(); ++i) {
-    std::optional<TransportMessage> m = up.try_recv();
-    TRIAD_CHECK(m.has_value(), "param server: missing gradient message");
-    Tensor& buf = grad_buf_[m->tag];
-    TRIAD_CHECK_EQ(m->bytes, buf.bytes(), "param server: gradient size");
-    std::memcpy(buf.data(), m->data, m->bytes);
+    TRIAD_CHECK_EQ(grads[i]->bytes(), params_[i].bytes(),
+                   "param server: gradient size");
+    pushed += grads[i]->bytes();
   }
   if (optimizer_ != nullptr) {
-    std::vector<const Tensor*> gp;
-    gp.reserve(grad_buf_.size());
-    for (const Tensor& g : grad_buf_) gp.push_back(&g);
-    optimizer_->step(params_, gp);
+    optimizer_->step(params_, grads);
   } else {
     for (std::size_t i = 0; i < params_.size(); ++i)
-      ops::axpy(params_[i], grad_buf_[i], -lr);
+      ops::axpy(params_[i], *grads[i], -lr);
   }
-  const TransportStats after = fabric_.stats();
   PerfCounters& c = global_counters();
-  c.transport_msgs += after.messages - before.messages;
-  c.transport_bytes += after.bytes - before.bytes;
-  c.param_push_bytes += after.bytes - before.bytes;
+  c.transport_msgs += grads.size();
+  c.transport_bytes += pushed;
+  c.param_push_bytes += pushed;
 }
 
 void ParamServer::pull_params(std::vector<Tensor>& dst) {
   TRIAD_CHECK_EQ(dst.size(), params_.size(),
                  "param server: destination count mismatch");
-  const TransportStats before = fabric_.stats();
-  Channel& up = fabric_.channel(kWorker, kServer);
-  Channel& down = fabric_.channel(kServer, kWorker);
-  TransportMessage req;
-  req.src = kWorker;
-  req.dst = kServer;
-  req.tag = kPullRequestTag;
-  up.send(req);
-  // --- Server side: answer the request with one reply per parameter.
-  std::optional<TransportMessage> r = up.try_recv();
-  TRIAD_CHECK(r.has_value() && r->tag == kPullRequestTag,
-              "param server: expected pull request");
-  for (std::size_t i = 0; i < params_.size(); ++i) {
-    TransportMessage m;
-    m.src = kServer;
-    m.dst = kWorker;
-    m.tag = static_cast<std::uint32_t>(i);
-    m.data = params_[i].data();
-    m.bytes = params_[i].bytes();
-    down.send(m);
-  }
-  // --- Worker side: copy fresh weights into the bound slots.
   std::uint64_t pulled = 0;
   for (std::size_t i = 0; i < params_.size(); ++i) {
-    std::optional<TransportMessage> m = down.try_recv();
-    TRIAD_CHECK(m.has_value(), "param server: missing parameter reply");
-    Tensor& out = dst[m->tag];
-    TRIAD_CHECK_EQ(m->bytes, out.bytes(), "param server: parameter size");
-    std::memcpy(out.data(), m->data, m->bytes);
-    pulled += m->bytes;
+    TRIAD_CHECK_EQ(dst[i].bytes(), params_[i].bytes(),
+                   "param server: parameter size");
+    std::memcpy(dst[i].data(), params_[i].data(), params_[i].bytes());
+    pulled += params_[i].bytes();
   }
-  const TransportStats after = fabric_.stats();
   PerfCounters& c = global_counters();
-  c.transport_msgs += after.messages - before.messages;
-  c.transport_bytes += after.bytes - before.bytes;
+  c.transport_msgs += params_.size() + 1;  // the request, then one reply each
+  c.transport_bytes += pulled;
   c.param_pull_bytes += pulled;
 }
 

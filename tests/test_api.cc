@@ -129,33 +129,27 @@ std::string compiled_dump(ModelGraph m, const Strategy& s, bool training,
   return c.ir.dump();
 }
 
-/// The legacy build_* shims and the api:: modules must produce bit-identical
-/// IR all the way through the pass pipeline, under the full strategy and the
-/// no-op strategy, with bitwise-equal parameter init.
+/// Two instances of one api:: module must produce bit-identical IR all the
+/// way through the pass pipeline, under the full strategy and the no-op
+/// strategy, with bitwise-equal parameter init.
 template <typename ModuleT, typename Cfg>
 void expect_bit_identity(const Cfg& cfg) {
   const Graph g = test_graph();
   Rng r1(7);
   Rng r2(7);
   const ModuleT module(cfg);
-  ModelGraph legacy = ModuleT(cfg).build(r1);  // what the shim does
+  ModelGraph fresh = ModuleT(cfg).build(r1);
   ModelGraph direct = module.build(r2);
-  ASSERT_EQ(legacy.ir.dump(), direct.ir.dump());
-  ASSERT_EQ(legacy.init.size(), direct.init.size());
-  for (std::size_t i = 0; i < legacy.init.size(); ++i) {
-    EXPECT_EQ(ops::max_abs_diff(legacy.init[i], direct.init[i]), 0.f);
+  ASSERT_EQ(fresh.ir.dump(), direct.ir.dump());
+  ASSERT_EQ(fresh.init.size(), direct.init.size());
+  for (std::size_t i = 0; i < fresh.init.size(); ++i) {
+    EXPECT_EQ(ops::max_abs_diff(fresh.init[i], direct.init[i]), 0.f);
   }
   for (const Strategy& s : {ours(), naive()}) {
     for (const bool training : {false, true}) {
       Rng r3(7);
       Rng r4(7);
-      ModelGraph via_shim = [&] {
-        if constexpr (std::is_same_v<ModuleT, api::Gcn>) return build_gcn(cfg, r3);
-        else if constexpr (std::is_same_v<ModuleT, api::Gat>) return build_gat(cfg, r3);
-        else if constexpr (std::is_same_v<ModuleT, api::EdgeConv>) return build_edgeconv(cfg, r3);
-        else return build_monet(cfg, r3);
-      }();
-      EXPECT_EQ(compiled_dump(std::move(via_shim), s, training, g),
+      EXPECT_EQ(compiled_dump(ModuleT(cfg).build(r3), s, training, g),
                 compiled_dump(module.build(r4), s, training, g))
           << "strategy=" << s.name << " training=" << training;
     }
@@ -334,9 +328,9 @@ TEST(ApiEngine, TrainerMatchesLegacyPath) {
   cfg.hidden = {16};
   cfg.num_classes = 5;
 
-  // Legacy spelling.
+  // Direct compile_model spelling.
   Rng mrng(1234);
-  Compiled legacy = compile_model(build_gcn(cfg, mrng), ours(), true, g);
+  Compiled legacy = compile_model(api::Gcn(cfg).build(mrng), ours(), true, g);
   Trainer t_legacy(std::move(legacy), g, features.clone());
 
   // Engine spelling (same init seed).

@@ -1,10 +1,10 @@
 // Gradient checking: every autodiff rule is validated against central finite
-// differences of a scalar loss L = <seed, output> through the Executor.
+// differences of a scalar loss L = <seed, output> through a PlanRunner.
 #include <gtest/gtest.h>
 
 #include <functional>
 
-#include "engine/executor.h"
+#include "engine/plan.h"
 #include "graph/generators.h"
 #include "ir/autodiff.h"
 #include "support/rng.h"
@@ -29,7 +29,8 @@ void grad_check(
   Rng rng(seed);
   // Bind inputs/params with random data.
   std::vector<std::pair<int, Tensor>> bound;
-  Executor ex(g, ir);
+  PlanRunner ex(
+      g, ExecutionPlan::compile_shared(ir, g.num_vertices(), g.num_edges()));
   for (const Node& n : ir.nodes()) {
     if (n.kind == OpKind::Param ||
         (n.kind == OpKind::Input && n.id != bwd.seed_grad)) {

@@ -2,7 +2,7 @@
 // the Section-2.1 expressiveness comparison made executable.
 #include <gtest/gtest.h>
 
-#include "engine/executor.h"
+#include "engine/plan.h"
 #include "graph/generators.h"
 #include "ir/dgl_compat.h"
 #include "ir/dot.h"
@@ -29,7 +29,8 @@ TEST(DglCompat, GsddmmMatchesScatterKernels) {
   ir.mark_output(add);
   ir.mark_output(sub);
   ir.mark_output(mul);
-  Executor ex(g, ir);
+  PlanRunner ex(
+      g, ExecutionPlan::compile_shared(ir, g.num_vertices(), g.num_edges()));
   Rng rng(5);
   Tensor ta = Tensor::randn(12, 4, rng);
   Tensor tb = Tensor::randn(12, 4, rng);
@@ -53,7 +54,8 @@ TEST(DglCompat, GspmmCopyUSumIsSpmv) {
   const int x = ir.input(Space::Vertex, 0, 3, "x");
   const int out = dgl::gspmm(ir, dgl::BinaryOp::CopyLhs, ReduceFn::Sum, x, -1);
   ir.mark_output(out);
-  Executor ex(g, ir);
+  PlanRunner ex(
+      g, ExecutionPlan::compile_shared(ir, g.num_vertices(), g.num_edges()));
   Rng rng(6);
   Tensor tx = Tensor::randn(12, 3, rng);
   ex.bind(x, tx);
@@ -77,7 +79,8 @@ TEST(DglCompat, GspmmUMulEWithHeadBroadcast) {
   const int w = ir.input(Space::Edge, 0, 2, "w");
   const int out = dgl::gspmm(ir, dgl::BinaryOp::Mul, ReduceFn::Sum, x, w, 2);
   ir.mark_output(out);
-  Executor ex(g, ir);
+  PlanRunner ex(
+      g, ExecutionPlan::compile_shared(ir, g.num_vertices(), g.num_edges()));
   Rng rng(7);
   Tensor tx = Tensor::randn(12, 6, rng);
   Tensor tw = Tensor::randn(g.num_edges(), 2, rng);
@@ -123,7 +126,8 @@ TEST(DglCompat, GspmmMaxAndMean) {
   const int mn = dgl::gspmm(ir, dgl::BinaryOp::CopyLhs, ReduceFn::Mean, x, -1);
   ir.mark_output(mx);
   ir.mark_output(mn);
-  Executor ex(g, ir);
+  PlanRunner ex(
+      g, ExecutionPlan::compile_shared(ir, g.num_vertices(), g.num_edges()));
   Rng rng(8);
   ex.bind(x, Tensor::randn(12, 2, rng));
   EXPECT_NO_THROW(ex.run());

@@ -2,6 +2,7 @@
 // FusionPass emits for the paper's model patterns.
 #include <gtest/gtest.h>
 
+#include "api/models.h"
 #include "baselines/strategy.h"
 #include "ir/passes/fusion.h"
 #include "ir/passes/recompute.h"
@@ -47,7 +48,8 @@ TEST(EdgeProgramStruct, GatForwardProgramShape) {
   cfg.hidden = 8;
   cfg.layers = 1;
   cfg.num_classes = 3;
-  Compiled c = compile_model(build_gat(cfg, rng), ours(), /*training=*/false);
+  Compiled c = compile_model(api::Gat(cfg).build(rng), ours(),
+                             /*training=*/false);
   ASSERT_EQ(c.ir.programs.size(), 1u);
   const EdgeProgram& ep = c.ir.programs[0];
   EXPECT_EQ(ep.phases.size(), 3u);
@@ -67,7 +69,8 @@ TEST(EdgeProgramStruct, GatTrainingStashesNothingPerEdgeUnderRecompute) {
   cfg.hidden = 8;
   cfg.layers = 1;
   cfg.num_classes = 3;
-  Compiled c = compile_model(build_gat(cfg, rng), ours(), /*training=*/true);
+  Compiled c = compile_model(api::Gat(cfg).build(rng), ours(),
+                             /*training=*/true);
   ASSERT_GE(c.ir.programs.size(), 2u);
   const EdgeProgram& fwd = c.ir.programs[0];
   EXPECT_TRUE(fwd.edge_outputs.empty())
@@ -91,7 +94,8 @@ TEST(EdgeProgramStruct, GatTrainingWithStashStoresEdgeTensors) {
   cfg.layers = 1;
   cfg.num_classes = 3;
   Compiled c =
-      compile_model(build_gat(cfg, rng), ours_fusion_stash(), /*training=*/true);
+      compile_model(api::Gat(cfg).build(rng), ours_fusion_stash(),
+                    /*training=*/true);
   std::size_t stored = 0;
   for (const EdgeProgram& ep : c.ir.programs) {
     stored += ep.edge_outputs.size();
@@ -105,7 +109,7 @@ TEST(EdgeProgramStruct, EdgeConvBackwardUsesMaxBwdMask) {
   cfg.in_dim = 4;
   cfg.hidden = {8};
   cfg.num_classes = 3;
-  Compiled c = compile_model(build_edgeconv(cfg, rng), ours(), true);
+  Compiled c = compile_model(api::EdgeConv(cfg).build(rng), ours(), true);
   bool has_mask = false, has_atomic_reverse = false;
   for (const EdgeProgram& ep : c.ir.programs) {
     for (const EPPhase& ph : ep.phases) {
@@ -129,7 +133,7 @@ TEST(EdgeProgramStruct, MonetForwardFusesGaussian) {
   cfg.kernels = 2;
   cfg.pseudo_dim = 2;
   cfg.num_classes = 3;
-  Compiled c = compile_model(build_monet(cfg, rng), ours(), false);
+  Compiled c = compile_model(api::MoNet(cfg).build(rng), ours(), false);
   ASSERT_GE(c.ir.programs.size(), 1u);
   bool has_gauss = false;
   for (const EPPhase& ph : c.ir.programs[0].phases) {
@@ -147,7 +151,7 @@ TEST(EdgeProgramStruct, RegisterWidthsConsistent) {
   cfg.heads = 2;
   cfg.layers = 2;
   cfg.num_classes = 3;
-  Compiled c = compile_model(build_gat(cfg, rng), ours(), true);
+  Compiled c = compile_model(api::Gat(cfg).build(rng), ours(), true);
   for (const EdgeProgram& ep : c.ir.programs) {
     for (const EPPhase& ph : ep.phases) {
       for (const EPInstr& in : ph.instrs) {

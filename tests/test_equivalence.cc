@@ -6,8 +6,8 @@
 
 #include <functional>
 
+#include "api/models.h"
 #include "baselines/strategy.h"
-#include "engine/executor.h"
 #include "graph/generators.h"
 #include "models/models.h"
 #include "models/trainer.h"
@@ -47,7 +47,7 @@ RunResult run_strategy(
   r.loss = metrics.loss;
   r.logits = trainer.logits().clone();
   for (int gnode : trainer.model().param_grads) {
-    r.grads.push_back(trainer.executor().result(gnode).clone());
+    r.grads.push_back(trainer.runner().result(gnode).clone());
   }
   return r;
 }
@@ -88,7 +88,7 @@ TEST(Equivalence, GatAllStrategiesAgree) {
     cfg.num_classes = 4;
     cfg.prereorganized = s.prereorganized_gat;
     cfg.builtin_softmax = s.builtin_softmax;
-    return build_gat(cfg, rng);
+    return api::Gat(cfg).build(rng);
   };
   const auto strategies = all_strategies();
   const RunResult ref = run_strategy(strategies[0], build, g, features, labels);
@@ -111,7 +111,7 @@ TEST(Equivalence, EdgeConvAllStrategiesAgree) {
     cfg.in_dim = 3;
     cfg.hidden = {8, 12};
     cfg.num_classes = 5;
-    return build_edgeconv(cfg, rng);
+    return api::EdgeConv(cfg).build(rng);
   };
   const auto strategies = all_strategies();
   const RunResult ref = run_strategy(strategies[0], build, g, features, labels);
@@ -137,7 +137,7 @@ TEST(Equivalence, MoNetAllStrategiesAgree) {
     cfg.kernels = 2;
     cfg.pseudo_dim = 2;
     cfg.num_classes = 3;
-    return build_monet(cfg, rng);
+    return api::MoNet(cfg).build(rng);
   };
   const auto strategies = all_strategies();
   const RunResult ref = run_strategy(strategies[0], build, g, features, labels,
@@ -162,7 +162,7 @@ TEST(Equivalence, GcnOursMatchesNaive) {
     cfg.in_dim = 8;
     cfg.hidden = {12};
     cfg.num_classes = 4;
-    return build_gcn(cfg, rng);
+    return api::Gcn(cfg).build(rng);
   };
   const RunResult a = run_strategy(naive(), build, g, features, labels);
   const RunResult b = run_strategy(ours(), build, g, features, labels);
@@ -183,7 +183,7 @@ TEST(Equivalence, EdgeBalancedMappingAgrees) {
     cfg.in_dim = 8;
     cfg.hidden = {12};
     cfg.num_classes = 4;
-    return build_gcn(cfg, rng);
+    return api::Gcn(cfg).build(rng);
   };
   Strategy eb = ours();
   eb.mapping = WorkMapping::EdgeBalanced;
@@ -215,7 +215,7 @@ std::vector<ModelCase> optimizer_model_cases() {
                      cfg.in_dim = 8;
                      cfg.hidden = {12};
                      cfg.num_classes = 4;
-                     return build_gcn(cfg, rng);
+                     return api::Gcn(cfg).build(rng);
                    },
                    8, false});
   cases.push_back({"gat",
@@ -226,7 +226,7 @@ std::vector<ModelCase> optimizer_model_cases() {
                      cfg.heads = 2;
                      cfg.layers = 2;
                      cfg.num_classes = 4;
-                     return build_gat(cfg, rng);
+                     return api::Gat(cfg).build(rng);
                    },
                    10, false});
   cases.push_back({"monet",
@@ -237,7 +237,7 @@ std::vector<ModelCase> optimizer_model_cases() {
                      cfg.kernels = 2;
                      cfg.pseudo_dim = 2;
                      cfg.num_classes = 3;
-                     return build_monet(cfg, rng);
+                     return api::MoNet(cfg).build(rng);
                    },
                    6, true});
   cases.push_back({"edgeconv",
@@ -246,7 +246,7 @@ std::vector<ModelCase> optimizer_model_cases() {
                      cfg.in_dim = 3;
                      cfg.hidden = {8, 12};
                      cfg.num_classes = 5;
-                     return build_edgeconv(cfg, rng);
+                     return api::EdgeConv(cfg).build(rng);
                    },
                    3, false});
   return cases;
@@ -291,7 +291,7 @@ TEST(Equivalence, OptimizerOnOffBitIdentical) {
           RunResult r;
           r.logits = trainer.logits().clone();
           for (int gnode : trainer.model().param_grads) {
-            r.grads.push_back(trainer.executor().result(gnode).clone());
+            r.grads.push_back(trainer.runner().result(gnode).clone());
           }
           return r;
         };
@@ -328,7 +328,7 @@ TEST(Equivalence, OursUsesLessStashMemoryOnGat) {
     cfg.num_classes = 4;
     cfg.prereorganized = s.prereorganized_gat;
     cfg.builtin_softmax = s.builtin_softmax;
-    return build_gat(cfg, rng);
+    return api::Gat(cfg).build(rng);
   };
   auto stash_of = [&](const Strategy& s) {
     Rng rng(4242);

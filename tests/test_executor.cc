@@ -1,7 +1,11 @@
-// Integration tests for the Executor: dataflow, eager freeing, stash tags.
+// PlanRunner basics: dataflow through a compiled plan, eager freeing of
+// intermediates, kept outputs, stash tags for backward-consumed tensors,
+// the forward/backward split, and max-gather aux indices.
 #include <gtest/gtest.h>
 
-#include "engine/executor.h"
+#include <memory>
+
+#include "engine/plan.h"
 #include "graph/generators.h"
 #include "ir/autodiff.h"
 #include "support/rng.h"
@@ -12,7 +16,13 @@ namespace {
 
 Graph path3() { return Graph(3, {{0, 1}, {1, 2}, {0, 2}}); }
 
-TEST(Executor, RunsScatterGatherChain) {
+/// A private plan compiled for `g`: the one-shot form of compile-then-run.
+std::shared_ptr<const ExecutionPlan> plan_for(const IrGraph& ir,
+                                              const Graph& g) {
+  return ExecutionPlan::compile_shared(ir, g.num_vertices(), g.num_edges());
+}
+
+TEST(PlanRunner, RunsScatterGatherChain) {
   Graph g = path3();
   IrGraph ir;
   const int x = ir.input(Space::Vertex, 0, 1, "x");
@@ -21,7 +31,7 @@ TEST(Executor, RunsScatterGatherChain) {
   ir.mark_output(v);
 
   MemoryPool pool;
-  Executor ex(g, ir, &pool);
+  PlanRunner ex(g, plan_for(ir, g), &pool);
   Tensor feat(3, 1, MemTag::kInput, &pool);
   feat.at(0, 0) = 1.f;
   feat.at(1, 0) = 2.f;
@@ -34,27 +44,27 @@ TEST(Executor, RunsScatterGatherChain) {
   EXPECT_FLOAT_EQ(out.at(2, 0), 3.f);  // 2 + 1
 }
 
-TEST(Executor, UnboundInputThrows) {
+TEST(PlanRunner, UnboundInputThrows) {
   Graph g = path3();
   IrGraph ir;
   const int x = ir.input(Space::Vertex, 0, 1, "x");
   const int e = ir.scatter(ScatterFn::CopyU, x, -1);
   ir.mark_output(e);
-  Executor ex(g, ir);
+  PlanRunner ex(g, plan_for(ir, g));
   EXPECT_THROW(ex.run(), Error);
 }
 
-TEST(Executor, BindShapeMismatchThrows) {
+TEST(PlanRunner, BindShapeMismatchThrows) {
   Graph g = path3();
   IrGraph ir;
   const int x = ir.input(Space::Vertex, 0, 2, "x");
   ir.mark_output(x);
-  Executor ex(g, ir);
+  PlanRunner ex(g, plan_for(ir, g));
   EXPECT_THROW(ex.bind(x, Tensor::zeros(3, 3)), Error);   // wrong cols
   EXPECT_THROW(ex.bind(x, Tensor::zeros(2, 2)), Error);   // wrong rows
 }
 
-TEST(Executor, FreesIntermediatesEagerly) {
+TEST(PlanRunner, FreesIntermediatesEagerly) {
   Graph g = path3();
   IrGraph ir;
   const int x = ir.input(Space::Vertex, 0, 64, "x");
@@ -64,14 +74,14 @@ TEST(Executor, FreesIntermediatesEagerly) {
   for (int i = 0; i < 16; ++i) h = ir.apply_unary(ApplyFn::ReLU, h);
   ir.mark_output(h);
   MemoryPool pool;
-  Executor ex(g, ir, &pool);
+  PlanRunner ex(g, plan_for(ir, g), &pool);
   ex.bind(x, Tensor::zeros(3, 64, MemTag::kInput, &pool));
   ex.run();
   const std::size_t one = 3 * 64 * 4;
   EXPECT_LE(pool.peak_bytes(), 4 * one);  // input + ~2 activations headroom
 }
 
-TEST(Executor, KeepsOutputsAlive) {
+TEST(PlanRunner, KeepsOutputsAlive) {
   Graph g = path3();
   IrGraph ir;
   const int x = ir.input(Space::Vertex, 0, 2, "x");
@@ -79,7 +89,7 @@ TEST(Executor, KeepsOutputsAlive) {
   const int b = ir.apply_unary(ApplyFn::Neg, a);
   ir.mark_output(a);
   ir.mark_output(b);
-  Executor ex(g, ir);
+  PlanRunner ex(g, plan_for(ir, g));
   ex.bind(x, Tensor::full(3, 2, 2.f));
   ex.run();
   EXPECT_TRUE(ex.has_result(a));
@@ -87,14 +97,14 @@ TEST(Executor, KeepsOutputsAlive) {
   EXPECT_FLOAT_EQ(ex.result(b).at(0, 0), -2.f);
 }
 
-TEST(Executor, RepeatedRunsAreStable) {
+TEST(PlanRunner, RepeatedRunsAreStable) {
   Graph g = path3();
   IrGraph ir;
   const int x = ir.input(Space::Vertex, 0, 1, "x");
   const int e = ir.scatter(ScatterFn::CopyU, x, -1);
   const int v = ir.gather(ReduceFn::Sum, e);
   ir.mark_output(v);
-  Executor ex(g, ir);
+  PlanRunner ex(g, plan_for(ir, g));
   ex.bind(x, Tensor::full(3, 1, 1.f));
   ex.run();
   const float first = ex.result(v).at(2, 0);
@@ -102,7 +112,7 @@ TEST(Executor, RepeatedRunsAreStable) {
   EXPECT_FLOAT_EQ(ex.result(v).at(2, 0), first);
 }
 
-TEST(Executor, StashTagForBackwardConsumedTensors) {
+TEST(PlanRunner, StashTagForBackwardConsumedTensors) {
   Graph g = path3();
   IrGraph ir;
   const int x = ir.input(Space::Vertex, 0, 2, "x");
@@ -114,7 +124,7 @@ TEST(Executor, StashTagForBackwardConsumedTensors) {
   ir.mark_output(bwd.param_grads[0].second);
 
   MemoryPool pool;
-  Executor ex(g, ir, &pool);
+  PlanRunner ex(g, plan_for(ir, g), &pool);
   Rng rng(5);
   ex.bind(x, Tensor::randn(3, 2, rng, 1.f, MemTag::kInput, &pool));
   ex.bind(w, Tensor::randn(2, 2, rng, 1.f, MemTag::kWeights, &pool));
@@ -127,7 +137,7 @@ TEST(Executor, StashTagForBackwardConsumedTensors) {
   EXPECT_TRUE(ex.has_result(bwd.param_grads[0].second));
 }
 
-TEST(Executor, SplitRunRequiresForwardFirst) {
+TEST(PlanRunner, SplitRunRequiresForwardFirst) {
   Graph g = path3();
   IrGraph ir;
   const int x = ir.input(Space::Vertex, 0, 2, "x");
@@ -136,18 +146,18 @@ TEST(Executor, SplitRunRequiresForwardFirst) {
   ir.mark_output(lin);
   BackwardResult bwd = build_backward(ir, lin);
   ir.mark_output(bwd.param_grads[0].second);
-  Executor ex(g, ir);
+  PlanRunner ex(g, plan_for(ir, g));
   EXPECT_THROW(ex.run_backward(), Error);
 }
 
-TEST(Executor, MaxGatherProducesAux) {
+TEST(PlanRunner, MaxGatherProducesAux) {
   Graph g = path3();
   IrGraph ir;
   const int x = ir.input(Space::Vertex, 0, 1, "x");
   const int e = ir.scatter(ScatterFn::CopyU, x, -1);
   const int v = ir.gather(ReduceFn::Max, e);
   ir.mark_output(v);
-  Executor ex(g, ir);
+  PlanRunner ex(g, plan_for(ir, g));
   Tensor feat(3, 1);
   feat.at(0, 0) = 3.f;
   feat.at(1, 0) = 9.f;

@@ -5,12 +5,13 @@
 #include <gtest/gtest.h>
 
 #include "baselines/strategy.h"
-#include "engine/executor.h"
+#include "engine/plan.h"
 #include "graph/generators.h"
 #include "ir/autodiff.h"
 #include <cstring>
 #include <memory>
 
+#include "api/models.h"
 #include "graph/knn.h"
 #include "models/models.h"
 #include "models/trainer.h"
@@ -41,11 +42,13 @@ TEST(FailureInjection, OomMidRunLeavesPoolConsistent) {
   // Enough for the input + one edge tensor, not two.
   pool.set_capacity(20 * 64 * 4 + 120 * 64 * 4 + 1024);
   {
-    Executor ex(g, ir, &pool);
+    PlanRunner ex(g, ExecutionPlan::compile_shared(ir, g.num_vertices(),
+                                                   g.num_edges()),
+                  &pool);
     ex.bind(x, Tensor::zeros(20, 64, MemTag::kInput, &pool));
     EXPECT_THROW(ex.run(), OutOfMemory);
   }
-  // Executor destroyed: everything it allocated must be returned.
+  // Runner destroyed: everything it allocated must be returned.
   EXPECT_EQ(pool.live_bytes(), 0u);
 }
 
@@ -62,7 +65,7 @@ TEST(FailureInjection, OomRecoveryRetryAtLargerCapacity) {
 
   auto attempt = [&](std::size_t cap) {
     Rng mrng(5);
-    Compiled c = compile_model(build_gcn(cfg, mrng), dgl_like(), true);
+    Compiled c = compile_model(api::Gcn(cfg).build(mrng), dgl_like(), true);
     MemoryPool pool;
     pool.set_capacity(cap);
     Rng frng(6);
@@ -90,7 +93,8 @@ TEST(FailureInjection, ForwardInputBoundToWrongSpaceThrows) {
   const int x = ir.input(Space::Edge, 0, 4, "edge_feat");
   const int v = ir.gather(ReduceFn::Sum, x);
   ir.mark_output(v);
-  Executor ex(g, ir);
+  PlanRunner ex(
+      g, ExecutionPlan::compile_shared(ir, g.num_vertices(), g.num_edges()));
   // Edge-space input needs |E| = 120 rows; 20 is wrong.
   EXPECT_THROW(ex.bind(x, Tensor::zeros(20, 4)), Error);
 }
@@ -120,7 +124,8 @@ TEST(FailureInjection, BackwardBeforeForwardThrows) {
   const int y = ir.linear(x, w);
   ir.mark_output(y);
   build_backward(ir, y);
-  Executor ex(g, ir);
+  PlanRunner ex(
+      g, ExecutionPlan::compile_shared(ir, g.num_vertices(), g.num_edges()));
   EXPECT_THROW(ex.run_backward(), Error);
 }
 
@@ -131,7 +136,8 @@ TEST(FailureInjection, ResultOfFreedNodeThrows) {
   const int mid = ir.apply_unary(ApplyFn::ReLU, x);
   const int out = ir.apply_unary(ApplyFn::Neg, mid);
   ir.mark_output(out);
-  Executor ex(g, ir);
+  PlanRunner ex(
+      g, ExecutionPlan::compile_shared(ir, g.num_vertices(), g.num_edges()));
   ex.bind(x, Tensor::zeros(20, 4));
   ex.run();
   EXPECT_THROW(ex.result(mid), Error);  // freed eagerly
@@ -153,7 +159,7 @@ ModelGraph failinj_gcn() {
   cfg.hidden = {8};
   cfg.num_classes = 4;
   Rng rng(1234);
-  return build_gcn(cfg, rng);
+  return api::Gcn(cfg).build(rng);
 }
 
 serve::InferenceRequest failinj_request(std::int64_t points, unsigned seed,
@@ -210,7 +216,7 @@ TEST(FailureInjection, ReloadShapeMismatchRejected) {
                              cfg.hidden = {16};  // different hidden width
                              cfg.num_classes = 4;
                              Rng rng(1);
-                             return build_gcn(cfg, rng);
+                             return api::Gcn(cfg).build(rng);
                            }),
                Error);
   EXPECT_EQ(host.stats("failinj/reload-shape").reloads, 0u);

@@ -2,7 +2,7 @@
 // of fused vs unfused execution, region formation, IO reduction, legality.
 #include <gtest/gtest.h>
 
-#include "engine/executor.h"
+#include "engine/plan.h"
 #include "graph/generators.h"
 #include "ir/passes/fusion.h"
 #include "support/counters.h"
@@ -30,7 +30,8 @@ std::pair<PerfCounters, PerfCounters> run_both(const Graph& g, const IrGraph& ir
   std::vector<Tensor> outs[2];
   const IrGraph* graphs[2] = {&ir, &fused};
   for (int i = 0; i < 2; ++i) {
-    Executor ex(g, *graphs[i]);
+    PlanRunner ex(g, ExecutionPlan::compile_shared(*graphs[i], g.num_vertices(),
+                                                   g.num_edges()));
     Rng local(77);
     for (const Node& n : graphs[i]->nodes()) {
       if (n.kind == OpKind::Input || n.kind == OpKind::Param) {

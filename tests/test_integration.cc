@@ -4,6 +4,7 @@
 // pipeline at every step plus the expected cost ordering.
 #include <gtest/gtest.h>
 
+#include "api/models.h"
 #include "baselines/strategy.h"
 #include "graph/datasets.h"
 #include "graph/knn.h"
@@ -62,7 +63,7 @@ TEST(Integration, DeepMultiHeadGat) {
     cfg.num_classes = data.num_classes;
     cfg.prereorganized = s.prereorganized_gat;
     cfg.builtin_softmax = s.builtin_softmax;
-    return build_gat(cfg, rng);
+    return api::Gat(cfg).build(rng);
   };
   const Trajectory naive_t = train(naive(), build(naive()), data.graph,
                                    data.features, {}, data.labels, 6, 0.03f);
@@ -88,7 +89,7 @@ TEST(Integration, FourLayerEdgeConvStack) {
     cfg.in_dim = 3;
     cfg.hidden = {8, 8, 16, 16};
     cfg.num_classes = 8;
-    return build_edgeconv(cfg, rng);
+    return api::EdgeConv(cfg).build(rng);
   };
   const Trajectory a = train(naive(), build(naive()), pc.graph, pc.coords, {},
                              labels, 5, 0.02f);
@@ -111,7 +112,7 @@ TEST(Integration, ThreeLayerMoNetWithAdjustableKernels) {
     cfg.kernels = 3;
     cfg.pseudo_dim = 3;
     cfg.num_classes = data.num_classes;
-    return build_monet(cfg, rng);
+    return api::MoNet(cfg).build(rng);
   };
   const Trajectory a = train(naive(), build(naive()), data.graph, data.features,
                              pseudo, data.labels, 5, 0.03f);
@@ -136,7 +137,7 @@ TEST(Integration, ReorderedGraphSameTrainingLoss) {
     cfg.in_dim = data.features.cols();
     cfg.hidden = {12};
     cfg.num_classes = data.num_classes;
-    return build_gcn(cfg, rng);
+    return api::Gcn(cfg).build(rng);
   };
   const Trajectory orig = train(ours(), build(), data.graph, data.features, {},
                                 data.labels, 5, 0.03f);
@@ -158,7 +159,7 @@ TEST(Integration, MixedPrecisionOfCountsAcrossStrategies) {
     cfg.num_classes = data.num_classes;
     cfg.prereorganized = s.prereorganized_gat;
     cfg.builtin_softmax = s.builtin_softmax;
-    return train(s, build_gat(cfg, rng), data.graph, data.features, {},
+    return train(s, api::Gat(cfg).build(rng), data.graph, data.features, {},
                  data.labels, 2, 0.01f)
         .io;
   };
@@ -178,7 +179,7 @@ TEST(Integration, AdamTrainsDeepGatUnderFullPipeline) {
   cfg.heads = 2;
   cfg.layers = 2;
   cfg.num_classes = data.num_classes;
-  Compiled c = compile_model(build_gat(cfg, rng), ours(), true);
+  Compiled c = compile_model(api::Gat(cfg).build(rng), ours(), true);
   MemoryPool pool;
   Trainer t(std::move(c), data.graph,
             data.features.clone(MemTag::kInput, &pool), Tensor{}, &pool);

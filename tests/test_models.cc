@@ -1,8 +1,9 @@
 // Tests for the model builders: structure, shapes, runnability.
 #include <gtest/gtest.h>
 
+#include "api/models.h"
 #include "baselines/strategy.h"
-#include "engine/executor.h"
+#include "engine/plan.h"
 #include "graph/generators.h"
 #include "models/models.h"
 #include "support/rng.h"
@@ -23,7 +24,8 @@ int count_kind(const IrGraph& ir, OpKind k) {
 }
 
 Tensor run_model(const Graph& g, const ModelGraph& m, unsigned seed = 5) {
-  Executor ex(g, m.ir);
+  PlanRunner ex(
+      g, ExecutionPlan::compile_shared(m.ir, g.num_vertices(), g.num_edges()));
   Rng rng(seed);
   ex.bind(m.features, Tensor::randn(g.num_vertices(),
                                     m.ir.node(m.features).cols, rng));
@@ -41,7 +43,7 @@ TEST(Models, GcnRunsAndShapes) {
   cfg.in_dim = 8;
   cfg.hidden = {16};
   cfg.num_classes = 5;
-  ModelGraph m = build_gcn(cfg, rng);
+  ModelGraph m = api::Gcn(cfg).build(rng);
   Graph g = test_graph();
   Tensor out = run_model(g, m);
   EXPECT_EQ(out.rows(), 20);
@@ -56,7 +58,7 @@ TEST(Models, GatNaiveHasConcatAndExpandedSoftmax) {
   cfg.hidden = 16;
   cfg.layers = 2;
   cfg.num_classes = 3;
-  ModelGraph m = build_gat(cfg, rng);
+  ModelGraph m = api::Gat(cfg).build(rng);
   int concats = 0, softmax_special = 0, max_gathers = 0;
   for (const Node& n : m.ir.nodes()) {
     concats += n.kind == OpKind::Scatter && n.sfn == ScatterFn::ConcatUV;
@@ -78,7 +80,7 @@ TEST(Models, GatPrereorganizedUsesAddUV) {
   cfg.hidden = 16;
   cfg.prereorganized = true;
   cfg.builtin_softmax = true;
-  ModelGraph m = build_gat(cfg, rng);
+  ModelGraph m = api::Gat(cfg).build(rng);
   int concats = 0, adds = 0, builtin = 0;
   for (const Node& n : m.ir.nodes()) {
     concats += n.kind == OpKind::Scatter && n.sfn == ScatterFn::ConcatUV;
@@ -99,11 +101,11 @@ TEST(Models, GatNaiveAndPrereorganizedAgree) {
   cfg.hidden = 8;
   cfg.layers = 1;
   cfg.num_classes = 4;
-  ModelGraph naive_m = build_gat(cfg, rng);
+  ModelGraph naive_m = api::Gat(cfg).build(rng);
   GatConfig cfg2 = cfg;
   cfg2.prereorganized = true;
   Rng rng2(4);  // identical params
-  ModelGraph reorg_m = build_gat(cfg2, rng2);
+  ModelGraph reorg_m = api::Gat(cfg2).build(rng2);
   Graph g = test_graph();
   Tensor a = run_model(g, naive_m, 9);
   Tensor b = run_model(g, reorg_m, 9);
@@ -118,7 +120,7 @@ TEST(Models, GatMultiHeadShapes) {
   cfg.heads = 4;
   cfg.layers = 2;
   cfg.num_classes = 3;
-  ModelGraph m = build_gat(cfg, rng);
+  ModelGraph m = api::Gat(cfg).build(rng);
   Tensor out = run_model(test_graph(), m);
   EXPECT_EQ(out.cols(), 3);  // last layer single head
 }
@@ -129,7 +131,7 @@ TEST(Models, EdgeConvPaperOrderHasEdgeLinear) {
   cfg.in_dim = 3;
   cfg.hidden = {8, 16};
   cfg.num_classes = 10;
-  ModelGraph m = build_edgeconv(cfg, rng);
+  ModelGraph m = api::EdgeConv(cfg).build(rng);
   // The Θ projection is applied on *edge* features (the redundancy source).
   int edge_linears = 0;
   for (const Node& n : m.ir.nodes()) {
@@ -149,7 +151,7 @@ TEST(Models, MoNetRunsWithPseudo) {
   cfg.kernels = 3;
   cfg.pseudo_dim = 2;
   cfg.num_classes = 4;
-  ModelGraph m = build_monet(cfg, rng);
+  ModelGraph m = api::MoNet(cfg).build(rng);
   EXPECT_GE(m.pseudo, 0);
   int gaussians = count_kind(m.ir, OpKind::Special);
   EXPECT_EQ(gaussians, 2);  // one per layer
@@ -172,7 +174,7 @@ TEST(Models, CompileInferenceFindsHandles) {
   cfg.in_dim = 8;
   cfg.hidden = 16;
   cfg.num_classes = 3;
-  ModelGraph m = build_gat(cfg, rng);
+  ModelGraph m = api::Gat(cfg).build(rng);
   Compiled c = compile_model(std::move(m), ours(), /*training=*/false);
   EXPECT_GE(c.features, 0);
   EXPECT_GE(c.output, 0);
@@ -189,7 +191,7 @@ TEST(Models, CompileTrainingProducesGradPerParam) {
   cfg.kernels = 2;
   cfg.pseudo_dim = 2;
   cfg.num_classes = 3;
-  ModelGraph m = build_monet(cfg, rng);
+  ModelGraph m = api::MoNet(cfg).build(rng);
   Compiled c = compile_model(std::move(m), dgl_like(), /*training=*/true);
   EXPECT_GE(c.seed, 0);
   EXPECT_EQ(c.param_grads.size(), c.params.size());

@@ -3,6 +3,7 @@
 
 #include <cmath>
 
+#include "api/models.h"
 #include "baselines/strategy.h"
 #include "graph/datasets.h"
 #include "models/models.h"
@@ -93,7 +94,7 @@ TEST(Optim, TrainerWithAdamLearnsFaster) {
     cfg.in_dim = data.features.cols();
     cfg.hidden = {16};
     cfg.num_classes = data.num_classes;
-    Compiled c = compile_model(build_gcn(cfg, mrng), ours(), true);
+    Compiled c = compile_model(api::Gcn(cfg).build(mrng), ours(), true);
     MemoryPool pool;
     Trainer t(std::move(c), data.graph,
               data.features.clone(MemTag::kInput, &pool), Tensor{}, &pool);

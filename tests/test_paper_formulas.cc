@@ -9,8 +9,9 @@
 //            the dominance, not the exact percentage (graph-dependent).
 #include <gtest/gtest.h>
 
+#include "api/models.h"
 #include "baselines/strategy.h"
-#include "engine/executor.h"
+#include "engine/plan.h"
 #include "graph/generators.h"
 #include "ir/passes/reorg.h"
 #include "models/models.h"
@@ -42,7 +43,8 @@ TEST(PaperFormulas, Section4GatScoreFlopRatio) {
     }
     const int lr = ir.apply_unary(ApplyFn::LeakyReLU, s, 0.2f);
     ir.mark_output(lr);
-    Executor ex(g, ir);
+    PlanRunner ex(
+        g, ExecutionPlan::compile_shared(ir, g.num_vertices(), g.num_edges()));
     Rng local(2);
     ex.bind(ht, Tensor::randn(64, f, local));
     ex.bind(a, Tensor::randn(2 * f, 1, local));
@@ -70,7 +72,8 @@ TEST(PaperFormulas, Section4ExactLinearCost) {
   const int w = ir.param(8, 4, "w");
   const int y = ir.linear(x, w);
   ir.mark_output(y);
-  Executor ex(g, ir);
+  PlanRunner ex(
+      g, ExecutionPlan::compile_shared(ir, g.num_vertices(), g.num_edges()));
   Rng local(4);
   ex.bind(x, Tensor::randn(10, 8, local));
   ex.bind(w, Tensor::randn(8, 4, local));
@@ -92,9 +95,10 @@ TEST(PaperFormulas, Section5FusedIoStrictlyLess) {
     cfg.num_classes = 4;
     cfg.prereorganized = true;  // isolate fusion: same op costs otherwise
     cfg.builtin_softmax = false;
-    ModelGraph m = build_gat(cfg, mrng);
+    ModelGraph m = api::Gat(cfg).build(mrng);
     Compiled c = compile_model(std::move(m), s, /*training=*/false);
-    Executor ex(g, c.ir);
+    PlanRunner ex(g, ExecutionPlan::compile_shared(c.ir, g.num_vertices(),
+                                                   g.num_edges()));
     Rng local(6);
     ex.bind(c.features, Tensor::randn(128, 16, local));
     for (std::size_t i = 0; i < c.params.size(); ++i) {
@@ -128,7 +132,7 @@ TEST(PaperFormulas, Section1StashDominatesGatTrainingMemory) {
   cfg.num_classes = 4;
   cfg.prereorganized = true;
   cfg.builtin_softmax = true;
-  Compiled c = compile_model(build_gat(cfg, mrng), dgl_like(), true);
+  Compiled c = compile_model(api::Gat(cfg).build(mrng), dgl_like(), true);
   MemoryPool pool;
   Rng local(9);
   Trainer t(std::move(c), g,
@@ -167,8 +171,9 @@ TEST(PaperFormulas, Section1RedundantOpsDominateEdgeConv) {
     cfg.in_dim = 16;
     cfg.hidden = {16};
     cfg.num_classes = 4;
-    Compiled c = compile_model(build_edgeconv(cfg, mrng), s, false);
-    Executor ex(g, c.ir);
+    Compiled c = compile_model(api::EdgeConv(cfg).build(mrng), s, false);
+    PlanRunner ex(g, ExecutionPlan::compile_shared(c.ir, g.num_vertices(),
+                                                   g.num_edges()));
     Rng local(12);
     ex.bind(c.features, Tensor::randn(128, 16, local));
     for (std::size_t i = 0; i < c.params.size(); ++i) {
@@ -203,7 +208,7 @@ TEST(PaperFormulas, Section6RecomputeOverheadSmall) {
     cfg.num_classes = 4;
     cfg.prereorganized = s.prereorganized_gat;
     cfg.builtin_softmax = s.builtin_softmax;
-    Compiled c = compile_model(build_gat(cfg, mrng), s, true);
+    Compiled c = compile_model(api::Gat(cfg).build(mrng), s, true);
     MemoryPool pool;
     Rng local(15);
     Trainer t(std::move(c), g,

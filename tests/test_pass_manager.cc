@@ -2,6 +2,7 @@
 // charging, and the compile_model pipeline it drives.
 #include <gtest/gtest.h>
 
+#include "api/models.h"
 #include "baselines/strategy.h"
 #include "graph/generators.h"
 #include "ir/passes/pass_manager.h"
@@ -70,7 +71,8 @@ TEST(PassManager, CompileModelReportsFullPipeline) {
   cfg.hidden = {8};
   cfg.num_classes = 3;
   Rng rng(5);
-  Compiled c = compile_model(build_gcn(cfg, rng), ours(), /*training=*/true);
+  Compiled c = compile_model(api::Gcn(cfg).build(rng), ours(),
+                             /*training=*/true);
   ASSERT_EQ(c.stats.passes.size(), 5u);
   EXPECT_EQ(c.stats.passes[0].name, "reorg");
   EXPECT_EQ(c.stats.passes[1].name, "autodiff");
@@ -93,7 +95,8 @@ TEST(PassManager, CompileModelInferenceBaselineSkipsTrainingPasses) {
   cfg.hidden = {8};
   cfg.num_classes = 3;
   Rng rng(5);
-  Compiled c = compile_model(build_gcn(cfg, rng), naive(), /*training=*/false);
+  Compiled c = compile_model(api::Gcn(cfg).build(rng), naive(),
+                             /*training=*/false);
   EXPECT_TRUE(c.stats.passes.empty());  // naive inference: no passes at all
 }
 
@@ -106,7 +109,8 @@ TEST(PassManager, CompileModelWithGraphBakesPlan) {
   cfg.num_classes = 3;
   Rng rng(5);
   CounterScope scope;
-  Compiled c = compile_model(build_gcn(cfg, rng), ours(), /*training=*/true, g);
+  Compiled c = compile_model(api::Gcn(cfg).build(rng), ours(),
+                             /*training=*/true, g);
   ASSERT_NE(c.plan, nullptr);
   EXPECT_EQ(scope.delta().plan_compiles, 1u);
   EXPECT_EQ(c.plan->size(), c.ir.size());

@@ -1,11 +1,13 @@
 // Tests for the compile-once/run-many split: ExecutionPlan precomputation,
 // plan reuse across epochs (bit-identical to per-epoch recompilation, with
 // compilation charged exactly once), concurrent PlanRunners sharing one
-// plan, and the PlanCache.
+// plan, and the PlanCache. PlanRunner basics (dataflow, eager freeing,
+// stash tags) are in test_executor.cc.
 #include <gtest/gtest.h>
 
 #include <thread>
 
+#include "api/models.h"
 #include "baselines/plan_cache.h"
 #include "baselines/strategy.h"
 #include "engine/plan.h"
@@ -35,7 +37,7 @@ GcnConfig small_gcn() {
 
 ModelGraph build_small_gcn() {
   Rng mrng(7);  // fixed seed: every build yields identical initial weights
-  return build_gcn(small_gcn(), mrng);
+  return api::Gcn(small_gcn()).build(mrng);
 }
 
 Tensor make_features(const Graph& g, MemoryPool* pool) {

@@ -5,8 +5,9 @@
 
 #include <tuple>
 
+#include "api/models.h"
 #include "baselines/strategy.h"
-#include "engine/executor.h"
+#include "engine/plan.h"
 #include "engine/kernels.h"
 #include "graph/generators.h"
 #include "ir/autodiff.h"
@@ -45,7 +46,8 @@ TEST_P(FusionEquivalenceP, FusedMatchesUnfused) {
   Tensor outs[2];
   const IrGraph* graphs[2] = {&ir, &fused};
   for (int i = 0; i < 2; ++i) {
-    Executor ex(g, *graphs[i]);
+    PlanRunner ex(g, ExecutionPlan::compile_shared(*graphs[i], g.num_vertices(),
+                                                   g.num_edges()));
     Rng local(55);
     ex.bind(0, Tensor::randn(n, f, local));
     ex.run();
@@ -109,7 +111,8 @@ TEST_P(ReorgIdentityP, RewriteIsExact) {
   Tensor outs[2];
   const IrGraph* graphs[2] = {&ir, &opt};
   for (int i = 0; i < 2; ++i) {
-    Executor ex(g, *graphs[i]);
+    PlanRunner ex(g, ExecutionPlan::compile_shared(*graphs[i], g.num_vertices(),
+                                                   g.num_edges()));
     Rng local(77);
     Tensor xv = Tensor::randn(19, f, local);
     Tensor wv = Tensor::randn(wrows, 3, local);
@@ -158,7 +161,8 @@ TEST_P(RecomputeInvarianceP, GradsInvariantUnderBudget) {
   std::vector<Tensor> outs[2];
   const IrGraph* graphs[2] = {&ir, &rc};
   for (int i = 0; i < 2; ++i) {
-    Executor ex(g, *graphs[i]);
+    PlanRunner ex(g, ExecutionPlan::compile_shared(*graphs[i], g.num_vertices(),
+                                                   g.num_edges()));
     Rng local(11);
     for (const Node& n : graphs[i]->nodes()) {
       if (n.kind == OpKind::Input || n.kind == OpKind::Param) {
@@ -204,7 +208,7 @@ TEST_P(GatStrategyP, NaiveMatchesOurs) {
     cfg.num_classes = 3;
     cfg.prereorganized = s.prereorganized_gat;
     cfg.builtin_softmax = s.builtin_softmax;
-    Compiled c = compile_model(build_gat(cfg, mrng), s, true);
+    Compiled c = compile_model(api::Gat(cfg).build(mrng), s, true);
     MemoryPool pool;
     Trainer t(std::move(c), g, features.clone(MemTag::kInput, &pool), Tensor{},
               &pool);
@@ -245,13 +249,13 @@ TEST_P(StashMonotoneP, RecomputeNeverIncreasesStash) {
       cfg.num_classes = 3;
       cfg.prereorganized = s.prereorganized_gat;
       cfg.builtin_softmax = s.builtin_softmax;
-      m = build_gat(cfg, mrng);
+      m = api::Gat(cfg).build(mrng);
     } else if (model == 1) {
       EdgeConvConfig cfg;
       cfg.in_dim = 6;
       cfg.hidden = {8};
       cfg.num_classes = 3;
-      m = build_edgeconv(cfg, mrng);
+      m = api::EdgeConv(cfg).build(mrng);
     } else {
       MoNetConfig cfg;
       cfg.in_dim = 6;
@@ -259,7 +263,7 @@ TEST_P(StashMonotoneP, RecomputeNeverIncreasesStash) {
       cfg.kernels = 2;
       cfg.pseudo_dim = 2;
       cfg.num_classes = 3;
-      m = build_monet(cfg, mrng);
+      m = api::MoNet(cfg).build(mrng);
     }
     Compiled c = compile_model(std::move(m), s, true);
     const bool has_pseudo = c.pseudo >= 0;

@@ -2,7 +2,7 @@
 // O(|E|) stash eliminated, checkpoints retained, cost criterion respected.
 #include <gtest/gtest.h>
 
-#include "engine/executor.h"
+#include "engine/plan.h"
 #include "graph/generators.h"
 #include "ir/autodiff.h"
 #include "ir/passes/fusion.h"
@@ -29,7 +29,9 @@ void check_grads_unchanged(const Graph& g, IrGraph ir, RecomputeStats* stats,
   std::vector<Tensor> outs[2];
   for (int i = 0; i < 2; ++i) {
     MemoryPool pool;
-    Executor ex(g, *graphs[i], &pool);
+    PlanRunner ex(g, ExecutionPlan::compile_shared(*graphs[i], g.num_vertices(),
+                                                   g.num_edges()),
+                  &pool);
     Rng local(55);
     for (const Node& n : graphs[i]->nodes()) {
       if (n.kind == OpKind::Input || n.kind == OpKind::Param) {
@@ -169,7 +171,9 @@ TEST(Recompute, CombinedWithFusionEliminatesEdgeStash) {
 
   auto measure = [&](const IrGraph& graph) {
     MemoryPool pool;
-    Executor ex(g, graph, &pool);
+    PlanRunner ex(g, ExecutionPlan::compile_shared(graph, g.num_vertices(),
+                                                   g.num_edges()),
+                  &pool);
     Rng local(66);
     for (const Node& n : graph.nodes()) {
       if (n.kind == OpKind::Input || n.kind == OpKind::Param) {

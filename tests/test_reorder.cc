@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "baselines/strategy.h"
-#include "engine/executor.h"
+#include "engine/plan.h"
 #include "graph/generators.h"
 #include "graph/reorder.h"
 #include "ir/graph.h"
@@ -155,14 +155,16 @@ TEST(Reorder, ModelResultsInvariantUnderReordering) {
   const int out = ir.gather(ReduceFn::Sum, r);
   ir.mark_output(out);
 
-  Executor ex(g, ir);
+  PlanRunner ex(
+      g, ExecutionPlan::compile_shared(ir, g.num_vertices(), g.num_edges()));
   ex.bind(xin, x);
   ex.run();
   Tensor base = ex.result(out).clone();
 
   Permutation p = bfs_clustering(g);
   Graph pg = permute_graph(g, p);
-  Executor ex2(pg, ir);
+  PlanRunner ex2(
+      pg, ExecutionPlan::compile_shared(ir, pg.num_vertices(), pg.num_edges()));
   ex2.bind(xin, permute_rows(x, p));
   ex2.run();
   Tensor permuted_out = ex2.result(out).clone();

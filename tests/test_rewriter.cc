@@ -6,6 +6,7 @@
 
 #include <algorithm>
 
+#include "api/models.h"
 #include "baselines/strategy.h"
 #include "ir/autodiff.h"
 #include "ir/passes/fusion.h"
@@ -397,7 +398,7 @@ IrGraph gat_backward_graph() {
   cfg.layers = 2;
   cfg.num_classes = 4;
   Rng rng(4242);
-  ModelGraph m = build_gat(cfg, rng);
+  ModelGraph m = api::Gat(cfg).build(rng);
   IrGraph ir = std::move(m.ir);
   ir.outputs.clear();
   ir.mark_output(m.output);
@@ -449,8 +450,9 @@ TEST(Rewriter, OptimizedGatCompilesUnderFullPipeline) {
   cfg.layers = 2;
   cfg.num_classes = 4;
   Rng rng(7);
-  Compiled c = compile_model(build_gat(cfg, rng), ours(), /*training=*/true,
-                             /*num_vertices=*/32, /*num_edges=*/128);
+  Compiled c = compile_model(api::Gat(cfg).build(rng), ours(),
+                             /*training=*/true, /*num_vertices=*/32,
+                             /*num_edges=*/128);
   ASSERT_NE(c.plan, nullptr);
   bool saw_optimize = false;
   for (const PassInfo& p : c.stats.passes) {

@@ -1,7 +1,7 @@
 // Serving-runtime tests: collation edge cases, the bit-identity guarantee of
 // batched execution, de-collation ordering under out-of-order worker
-// completion, sharded serving, request validation, and the queue/histogram
-// support pieces.
+// completion, sharded serving, request validation, the per-model worker
+// quota, and the queue/histogram support pieces.
 //
 // The load-bearing property is the same one the sharded runtime pins down:
 // batching is a pure throughput/latency policy. A block-diagonal batch gives
@@ -16,6 +16,7 @@
 #include <memory>
 #include <vector>
 
+#include "api/models.h"
 #include "baselines/plan_cache.h"
 #include "baselines/strategy.h"
 #include "graph/generators.h"
@@ -44,7 +45,7 @@ ModelGraph serving_gcn() {
   cfg.hidden = {8};
   cfg.num_classes = kClasses;
   Rng rng(1234);  // fixed: every invocation yields bit-identical weights
-  return build_gcn(cfg, rng);
+  return api::Gcn(cfg).build(rng);
 }
 
 ModelGraph serving_gat() {
@@ -55,7 +56,7 @@ ModelGraph serving_gat() {
   cfg.layers = 2;
   cfg.num_classes = kClasses;
   Rng rng(1234);
-  return build_gat(cfg, rng);
+  return api::Gat(cfg).build(rng);
 }
 
 /// A small request over a k-NN "point cloud" graph; the seed varies the
@@ -437,6 +438,60 @@ TEST(ServingHost, MalformedRequestFailsAloneInItsBatch) {
   EXPECT_EQ(stats.failed, 1u);
   EXPECT_EQ(stats.completed, 3u);
   EXPECT_EQ(stats.batches, 1u);
+}
+
+// --- fairness: max_workers_per_model ----------------------------------------
+
+TEST(ServingHost, WorkerQuotaBoundsPeakWorkers) {
+  // Three shared workers, but the one hot model may hold at most one of
+  // them: peak_workers is the observed fairness bound and must never exceed
+  // the quota, however many requests pile up.
+  serve::HostConfig cfg;
+  cfg.workers = 3;
+  cfg.max_workers_per_model = 1;
+  ServingHost host(cfg);
+  serve::ModelOptions mo;
+  mo.batch.max_batch = 2;  // small batches -> many collect() claims
+  mo.batch.max_wait_us = 100;
+  host.register_model("transport/quota", serving_gcn, mo);
+
+  std::vector<std::future<serve::InferenceResult>> futures;
+  for (unsigned i = 0; i < 12; ++i) {
+    futures.push_back(host.submit("transport/quota", make_request(10, 50 + i)));
+  }
+  for (auto& f : futures) f.get();
+  host.shutdown();
+
+  const serve::ServerStats st = host.stats("transport/quota");
+  EXPECT_EQ(st.completed, 12u);
+  EXPECT_EQ(st.failed, 0u);
+  EXPECT_GT(st.peak_workers, 0);
+  EXPECT_LE(st.peak_workers, 1);  // the quota held
+  // The aggregate reports the max across models (one model here).
+  EXPECT_EQ(host.stats().total.peak_workers, st.peak_workers);
+}
+
+TEST(ServingHost, UnlimitedQuotaByDefault) {
+  // quota = 0 keeps today's behavior: any worker may pick up the model, and
+  // the peak merely observes whatever concurrency actually happened.
+  serve::HostConfig cfg;
+  cfg.workers = 2;
+  ServingHost host(cfg);
+  serve::ModelOptions mo;
+  mo.batch.max_batch = 2;
+  mo.batch.max_wait_us = 100;
+  host.register_model("transport/unbounded", serving_gcn, mo);
+  std::vector<std::future<serve::InferenceResult>> futures;
+  for (unsigned i = 0; i < 8; ++i) {
+    futures.push_back(
+        host.submit("transport/unbounded", make_request(10, 90 + i)));
+  }
+  for (auto& f : futures) f.get();
+  host.shutdown();
+  const serve::ServerStats st = host.stats("transport/unbounded");
+  EXPECT_EQ(st.completed, 8u);
+  EXPECT_GT(st.peak_workers, 0);
+  EXPECT_LE(st.peak_workers, 2);  // can't exceed the pool itself
 }
 
 }  // namespace

@@ -47,7 +47,7 @@ ModelGraph host_gcn() {
   cfg.hidden = {8};
   cfg.num_classes = kClasses;
   Rng rng(1234);  // fixed: every invocation yields bit-identical weights
-  return build_gcn(cfg, rng);
+  return api::Gcn(cfg).build(rng);
 }
 
 ModelGraph host_gcn_v2() {
@@ -56,7 +56,7 @@ ModelGraph host_gcn_v2() {
   cfg.hidden = {8};
   cfg.num_classes = kClasses;
   Rng rng(9999);  // same architecture, different weights: the reload target
-  return build_gcn(cfg, rng);
+  return api::Gcn(cfg).build(rng);
 }
 
 ModelGraph host_gat() {
@@ -67,7 +67,7 @@ ModelGraph host_gat() {
   cfg.layers = 2;
   cfg.num_classes = kClasses;
   Rng rng(1234);
-  return build_gat(cfg, rng);
+  return api::Gat(cfg).build(rng);
 }
 
 InferenceRequest make_request(std::int64_t points, unsigned seed) {

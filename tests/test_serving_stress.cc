@@ -23,6 +23,7 @@
 #include <thread>
 #include <vector>
 
+#include "api/models.h"
 #include "graph/knn.h"
 #include "models/models.h"
 #include "serve/host.h"
@@ -45,7 +46,7 @@ ModelGraph stress_gcn() {
   cfg.hidden = {8};
   cfg.num_classes = 4;
   Rng rng(1234);
-  return build_gcn(cfg, rng);
+  return api::Gcn(cfg).build(rng);
 }
 
 ModelGraph stress_gat() {
@@ -56,7 +57,7 @@ ModelGraph stress_gat() {
   cfg.layers = 1;
   cfg.num_classes = 4;
   Rng rng(1234);
-  return build_gat(cfg, rng);
+  return api::Gat(cfg).build(rng);
 }
 
 InferenceRequest tiny_request(unsigned seed) {

@@ -1,5 +1,5 @@
 // Sharded-execution tests: bit-identical determinism across shard counts,
-// the ParallelPlanRunner surface, per-shard plan schedules, the
+// a partitioned PlanRunner, per-shard plan schedules, the
 // combine-traffic accounting of the device model, repeated direct VM runs of
 // the boundary combine, and the boundary-stash elision accounting.
 //
@@ -15,9 +15,9 @@
 #include <unordered_map>
 #include <vector>
 
+#include "api/models.h"
 #include "baselines/strategy.h"
 #include "engine/device.h"
-#include "engine/parallel_runner.h"
 #include "engine/vm.h"
 #include "graph/generators.h"
 #include "graph/partition.h"
@@ -95,7 +95,7 @@ ModelGraph gat_model(Rng& rng, std::int64_t in_dim) {
   cfg.heads = 2;
   cfg.layers = 2;
   cfg.num_classes = 4;
-  return build_gat(cfg, rng);
+  return api::Gat(cfg).build(rng);
 }
 
 ModelGraph edgeconv_model(Rng& rng, std::int64_t in_dim) {
@@ -103,7 +103,7 @@ ModelGraph edgeconv_model(Rng& rng, std::int64_t in_dim) {
   cfg.in_dim = in_dim;
   cfg.hidden = {8, 8};
   cfg.num_classes = 4;
-  return build_edgeconv(cfg, rng);
+  return api::EdgeConv(cfg).build(rng);
 }
 
 TEST(Sharded, GatTrainingBitIdenticalAcrossShardCounts) {
@@ -161,7 +161,7 @@ TEST(Sharded, UnfusedKernelsBitIdenticalWhenSharded) {
   }
 }
 
-TEST(Sharded, ParallelPlanRunnerMatchesPlanRunner) {
+TEST(Sharded, PartitionedPlanRunnerMatchesPlanRunner) {
   const Graph g = test_graph();
   Rng mrng(7);
   Compiled c = compile_model(gat_model(mrng, 6), ours(), /*training=*/false, g);
@@ -174,9 +174,11 @@ TEST(Sharded, ParallelPlanRunnerMatchesPlanRunner) {
   }
   serial.run();
 
-  ParallelPlanRunner sharded(g, c.plan, /*num_shards=*/4,
-                             PartitionStrategy::DegreeBalanced, &pool_b);
-  EXPECT_EQ(sharded.num_shards(), 4);
+  const Partitioning part = Partitioning::build(
+      g, /*num_shards=*/4, PartitionStrategy::DegreeBalanced);
+  PlanRunner sharded(g, c.plan, &pool_b);
+  sharded.set_partitioning(&part);
+  EXPECT_EQ(sharded.partitioning()->num_shards(), 4);
   sharded.bind(c.features, random_features(g.num_vertices(), 6, &pool_b));
   for (std::size_t i = 0; i < c.params.size(); ++i) {
     sharded.bind(c.params[i], c.init[i].clone(MemTag::kWeights, &pool_b));
@@ -396,7 +398,7 @@ TEST(Sharded, WalkTimeChargedAndNoCombineOverlap) {
     cfg.in_dim = 6;
     cfg.hidden = {8};
     cfg.num_classes = 4;
-    return build_gcn(cfg, r);
+    return api::Gcn(cfg).build(r);
   };
   CounterScope scope;
   train_run(g, build, 4, PartitionStrategy::DegreeBalanced, 1, 6,

@@ -17,6 +17,7 @@
 #include <utility>
 #include <vector>
 
+#include "api/models.h"
 #include "baselines/strategy.h"
 #include "engine/specialize.h"
 #include "graph/generators.h"
@@ -63,7 +64,7 @@ std::vector<ModelCase> model_cases() {
                      cfg.in_dim = 8;
                      cfg.hidden = {w};
                      cfg.num_classes = 4;
-                     return build_gcn(cfg, rng);
+                     return api::Gcn(cfg).build(rng);
                    },
                    8, false});
   cases.push_back({"gat",
@@ -74,7 +75,7 @@ std::vector<ModelCase> model_cases() {
                      cfg.heads = 2;
                      cfg.layers = 1;
                      cfg.num_classes = 4;
-                     return build_gat(cfg, rng);
+                     return api::Gat(cfg).build(rng);
                    },
                    10, false});
   cases.push_back({"monet",
@@ -85,7 +86,7 @@ std::vector<ModelCase> model_cases() {
                      cfg.kernels = 2;
                      cfg.pseudo_dim = 2;
                      cfg.num_classes = 3;
-                     return build_monet(cfg, rng);
+                     return api::MoNet(cfg).build(rng);
                    },
                    6, true});
   cases.push_back({"edgeconv",
@@ -94,7 +95,7 @@ std::vector<ModelCase> model_cases() {
                      cfg.in_dim = 3;
                      cfg.hidden = {w};
                      cfg.num_classes = 5;
-                     return build_edgeconv(cfg, rng);
+                     return api::EdgeConv(cfg).build(rng);
                    },
                    3, false});
   return cases;
@@ -114,7 +115,7 @@ RunResult run_one(const ModelCase& mc, std::int64_t w, const Strategy& s,
   RunResult r;
   r.logits = trainer.logits().clone();
   for (int gnode : trainer.model().param_grads) {
-    r.grads.push_back(trainer.executor().result(gnode).clone());
+    r.grads.push_back(trainer.runner().result(gnode).clone());
   }
   return r;
 }

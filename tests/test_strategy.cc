@@ -1,8 +1,8 @@
 // Tests for strategy presets and the compile_model pipeline plumbing.
 #include <gtest/gtest.h>
 
+#include "api/models.h"
 #include "baselines/strategy.h"
-#include "engine/executor.h"
 #include "graph/generators.h"
 #include "models/models.h"
 #include "support/rng.h"
@@ -44,7 +44,7 @@ TEST(Strategy, CompiledGraphShrinksKernelCount) {
     cfg.num_classes = 3;
     cfg.prereorganized = s.prereorganized_gat;
     cfg.builtin_softmax = s.builtin_softmax;
-    Compiled c = compile_model(build_gat(cfg, rng), s, true);
+    Compiled c = compile_model(api::Gat(cfg).build(rng), s, true);
     int execustable = 0;
     for (const Node& n : c.ir.nodes()) {
       execustable += n.kind != OpKind::Input && n.kind != OpKind::Param &&
@@ -65,7 +65,7 @@ TEST(Strategy, DglGatUsesBuiltinSoftmaxNode) {
   const Strategy s = dgl_like();
   cfg.prereorganized = s.prereorganized_gat;
   cfg.builtin_softmax = s.builtin_softmax;
-  Compiled c = compile_model(build_gat(cfg, rng), s, true);
+  Compiled c = compile_model(api::Gat(cfg).build(rng), s, true);
   int builtin = 0;
   for (const Node& n : c.ir.nodes()) {
     builtin += n.kind == OpKind::Special &&
@@ -83,7 +83,7 @@ TEST(Strategy, OursEliminatesBuiltinSoftmax) {
   cfg.hidden = 8;
   cfg.layers = 1;
   cfg.num_classes = 3;
-  Compiled c = compile_model(build_gat(cfg, rng), ours(), true);
+  Compiled c = compile_model(api::Gat(cfg).build(rng), ours(), true);
   for (const Node& n : c.ir.nodes()) {
     EXPECT_FALSE(n.kind == OpKind::Special && n.spfn == SpecialFn::EdgeSoftmax);
   }
@@ -98,7 +98,7 @@ TEST(Strategy, HandleRemapSurvivesAllPasses) {
   cfg.kernels = 2;
   cfg.pseudo_dim = 2;
   cfg.num_classes = 3;
-  Compiled c = compile_model(build_monet(cfg, rng), ours(), true);
+  Compiled c = compile_model(api::MoNet(cfg).build(rng), ours(), true);
   // Every handle must point at the right node kind after three rewrites.
   EXPECT_EQ(c.ir.node(c.features).kind, OpKind::Input);
   EXPECT_EQ(c.ir.node(c.pseudo).kind, OpKind::Input);
@@ -117,7 +117,8 @@ TEST(Strategy, EdgeOnlyFusionNeverFusesGathers) {
   cfg.in_dim = 4;
   cfg.hidden = {8};
   cfg.num_classes = 3;
-  Compiled c = compile_model(build_edgeconv(cfg, rng), fusegnn_like(), true);
+  Compiled c = compile_model(api::EdgeConv(cfg).build(rng), fusegnn_like(),
+                             true);
   for (const EdgeProgram& ep : c.ir.programs) {
     EXPECT_TRUE(ep.vertex_outputs.empty())
         << "fuseGNN-like fusion produced a fused reduction";
@@ -130,7 +131,7 @@ TEST(Strategy, InferenceCompileHasNoBackward) {
   cfg.in_dim = 4;
   cfg.hidden = {4};
   cfg.num_classes = 2;
-  Compiled c = compile_model(build_gcn(cfg, rng), ours(), false);
+  Compiled c = compile_model(api::Gcn(cfg).build(rng), ours(), false);
   EXPECT_EQ(c.seed, -1);
   EXPECT_TRUE(c.param_grads.empty());
   EXPECT_LT(c.ir.backward_start, 0);

@@ -2,6 +2,7 @@
 // optimized pipeline trains identically to the baseline over multiple steps.
 #include <gtest/gtest.h>
 
+#include "api/models.h"
 #include "baselines/strategy.h"
 #include "graph/datasets.h"
 #include "graph/knn.h"
@@ -20,7 +21,7 @@ TEST(Training, GcnLearnsCitationLikeDataset) {
   cfg.in_dim = data.features.cols();
   cfg.hidden = {32};
   cfg.num_classes = data.num_classes;
-  Compiled c = compile_model(build_gcn(cfg, rng), ours(), true);
+  Compiled c = compile_model(api::Gcn(cfg).build(rng), ours(), true);
   MemoryPool pool;
   Trainer t(std::move(c), data.graph, data.features.clone(MemTag::kInput, &pool),
             Tensor{}, &pool);
@@ -40,7 +41,7 @@ TEST(Training, GatLearnsUnderOursStrategy) {
   cfg.heads = 2;
   cfg.layers = 2;
   cfg.num_classes = data.num_classes;
-  Compiled c = compile_model(build_gat(cfg, rng), ours(), true);
+  Compiled c = compile_model(api::Gat(cfg).build(rng), ours(), true);
   MemoryPool pool;
   Trainer t(std::move(c), data.graph, data.features.clone(MemTag::kInput, &pool),
             Tensor{}, &pool);
@@ -59,7 +60,7 @@ TEST(Training, MoNetLearns) {
   cfg.kernels = 2;
   cfg.pseudo_dim = 2;
   cfg.num_classes = data.num_classes;
-  Compiled c = compile_model(build_monet(cfg, rng), ours(), true);
+  Compiled c = compile_model(api::MoNet(cfg).build(rng), ours(), true);
   MemoryPool pool;
   Trainer t(std::move(c), data.graph, data.features.clone(MemTag::kInput, &pool),
             make_pseudo_coords(data.graph, 2), &pool);
@@ -82,7 +83,7 @@ TEST(Training, EdgeConvLearnsPointClouds) {
   cfg.in_dim = 3;
   cfg.hidden = {16, 16};
   cfg.num_classes = 6;
-  Compiled c = compile_model(build_edgeconv(cfg, rng), ours(), true);
+  Compiled c = compile_model(api::EdgeConv(cfg).build(rng), ours(), true);
   MemoryPool pool;
   Trainer t(std::move(c), batch.graph, batch.coords.clone(MemTag::kInput, &pool),
             Tensor{}, &pool);
@@ -105,7 +106,7 @@ TEST(Training, BaselineAndOursTrainIdentically) {
     cfg.num_classes = data.num_classes;
     cfg.prereorganized = s.prereorganized_gat;
     cfg.builtin_softmax = s.builtin_softmax;
-    Compiled c = compile_model(build_gat(cfg, rng), s, true);
+    Compiled c = compile_model(api::Gat(cfg).build(rng), s, true);
     MemoryPool pool;
     Trainer t(std::move(c), data.graph,
               data.features.clone(MemTag::kInput, &pool), Tensor{}, &pool);
@@ -125,7 +126,7 @@ TEST(Training, MetricsPopulated) {
   cfg.in_dim = data.features.cols();
   cfg.hidden = {8};
   cfg.num_classes = data.num_classes;
-  Compiled c = compile_model(build_gcn(cfg, rng), dgl_like(), true);
+  Compiled c = compile_model(api::Gcn(cfg).build(rng), dgl_like(), true);
   MemoryPool pool;
   Trainer t(std::move(c), data.graph, data.features.clone(MemTag::kInput, &pool),
             Tensor{}, &pool);
@@ -144,7 +145,8 @@ TEST(Training, InferenceOnlyForwardThrowsOnTrainStep) {
   cfg.in_dim = 4;
   cfg.hidden = {4};
   cfg.num_classes = 2;
-  Compiled c = compile_model(build_gcn(cfg, rng), ours(), /*training=*/false);
+  Compiled c = compile_model(api::Gcn(cfg).build(rng), ours(),
+                             /*training=*/false);
   Rng drng(8);
   Graph g(4, {{0, 1}, {1, 2}, {2, 3}, {3, 0}});
   MemoryPool pool;

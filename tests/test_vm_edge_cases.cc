@@ -3,8 +3,9 @@
 // unfused kernels and the full optimized pipeline.
 #include <gtest/gtest.h>
 
+#include "api/models.h"
 #include "baselines/strategy.h"
-#include "engine/executor.h"
+#include "engine/plan.h"
 #include "engine/kernels.h"
 #include "graph/generators.h"
 #include "ir/passes/fusion.h"
@@ -34,7 +35,7 @@ void check_gat_on(const Graph& g, std::int64_t classes = 3) {
     cfg.num_classes = classes;
     cfg.prereorganized = s.prereorganized_gat;
     cfg.builtin_softmax = s.builtin_softmax;
-    Compiled c = compile_model(build_gat(cfg, rng), s, true);
+    Compiled c = compile_model(api::Gat(cfg).build(rng), s, true);
     MemoryPool pool;
     Trainer t(std::move(c), g, features.clone(MemTag::kInput, &pool), Tensor{},
               &pool);
@@ -108,7 +109,8 @@ TEST(EdgeCases, FusedSoftmaxOnSelfLoopIsOne) {
   const int total = ir.gather(ReduceFn::Sum, w);
   ir.mark_output(total);
   IrGraph fused = fusion_pass(ir);
-  Executor ex(g, fused);
+  PlanRunner ex(
+      g, ExecutionPlan::compile_shared(fused, g.num_vertices(), g.num_edges()));
   Rng rng(3);
   ex.bind(0, Tensor::randn(2, 1, rng));
   ex.run();
@@ -128,7 +130,8 @@ TEST(EdgeCases, WidthOneFeatures) {
   Tensor out[2];
   const IrGraph* graphs[2] = {&ir, &fused};
   for (int i = 0; i < 2; ++i) {
-    Executor ex(g, *graphs[i]);
+    PlanRunner ex(g, ExecutionPlan::compile_shared(*graphs[i], g.num_vertices(),
+                                                   g.num_edges()));
     Rng local(5);
     ex.bind(0, Tensor::randn(10, 1, local));
     ex.run();
