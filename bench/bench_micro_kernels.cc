@@ -346,7 +346,7 @@ ProgramCase build_gauss_bwd(const Graph& g, std::int64_t k, std::int64_t f,
 }
 
 /// Edge-balanced Sum fold: the gcn gather under WorkMapping::EdgeBalanced,
-/// where the interpreter's walk is fully elided and the combine IS the kernel.
+/// where the interpreter's walk is fully pruned and the combine IS the kernel.
 ProgramCase build_sum_eb(const Graph& g, std::int64_t w, Rng& rng) {
   ProgramCase pc;
   pc.name = "sum_eb";

@@ -86,6 +86,12 @@ int main(int argc, char** argv) {
             "\"k\": " + std::to_string(k));
   }
   print_footnote(opt);
+  if (opt.scale <= 0.01) {
+    std::printf("(smoke scale: each row times %d step(s) after one warmup on "
+                "a graph of %lld edges, so the speedup column is noise, not "
+                "scaling)\n",
+                opt.steps, static_cast<long long>(m));
+  }
   rep.write();
   return 0;
 }

@@ -11,10 +11,8 @@
 ///   reduce r5 -> acc_seq (Sum)        // dst-side a_r gradient
 ///
 /// Per edge the value is SSA — it depends only on (e, dst) — so the combine
-/// recomputes it instead of reading the interpreter's stash; same bits (the
-/// expression, association, and fold order are identical), minus the
-/// O(|E|·h) stash round trip the interpreter pays for this shape (three
-/// arithmetic ops disqualify it from stash elision).
+/// recomputes it as one flat loop, as the interpreter's cone replay does;
+/// same bits (the expression, association, and fold order are identical).
 #pragma once
 
 #include <cstdint>

@@ -10,7 +10,7 @@
 /// The walk core computes the sequential output; the boundary output is
 /// finalized by maxbwd_gather_combine, folding each target row over the
 /// reverse-orientation adjacency in fixed edge order — the same fold the
-/// interpreter's elided combine replay performs.
+/// interpreter's combine replay performs.
 ///
 /// Bit-identity: per element both loops accumulate the identical sequence
 /// `acc[j] += (aux==e ? g[j] : 0.f)` over the identical edge order — the

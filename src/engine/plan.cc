@@ -189,9 +189,6 @@ ExecutionPlan ExecutionPlan::compile(IrGraph ir, std::int64_t num_vertices,
     std::size_t peak = live;
     for (int id = 0; id < n; ++id) {
       const Node& nd = ir.node(id);
-      // Bytes alive only while this step executes (the VM's boundary-combine
-      // stash: one |E|-row workspace per cross-orientation reduction).
-      std::size_t transient = 0;
       switch (nd.kind) {
         case OpKind::Input:
         case OpKind::Param:
@@ -199,14 +196,7 @@ ExecutionPlan ExecutionPlan::compile(IrGraph ir, std::int64_t num_vertices,
           break;
         case OpKind::Fused: {
           const EdgeProgram& ep = ir.programs.at(nd.program);
-          for (const VertexOutput& vo : ep.vertex_outputs) {
-            live += scaled(vo.node);
-            const bool boundary = ep.mapping == WorkMapping::EdgeBalanced ||
-                                  vo.reverse == ep.dst_major;
-            if (boundary) {
-              transient += static_cast<std::size_t>(m_e * vo.width) * sizeof(float);
-            }
-          }
+          for (const VertexOutput& vo : ep.vertex_outputs) live += scaled(vo.node);
           for (const EdgeOutput& eo : ep.edge_outputs) live += scaled(eo.node);
           break;
         }
@@ -214,7 +204,7 @@ ExecutionPlan ExecutionPlan::compile(IrGraph ir, std::int64_t num_vertices,
           live += scaled(id);
           break;
       }
-      peak = std::max(peak, live + transient);
+      peak = std::max(peak, live);
       for (int f : p.steps_[id].free_after) live -= scaled(f);
     }
     return peak;
@@ -548,7 +538,6 @@ void PlanRunner::exec_fused(const Node& n) {
   b.aux = [this](int id) -> const IntTensor& { return aux_of(id); };
   b.out = [this](int id) -> Tensor& { return result_mut(id); };
   b.out_aux = [this](int id) -> IntTensor& { return aux_[id]; };
-  b.pool = pool_;
   const CoreBinding* core = &plan_->core(n.program);
   const bool backward = n.id >= plan_->forward_end();
   if (partition_ != nullptr) {

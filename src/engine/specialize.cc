@@ -351,11 +351,12 @@ CoreBinding match_gat_scorebwd(const EdgeProgram& ep) {
   if (le.width != h || lv.width != h || mk.width != h || sub.width != h ||
       ls.width != h || lrg.width != h || r1.width != h || r2.width != h)
     return cb;
-  // The combine replays the chain from the input tensors instead of reading a
-  // stash, which re-reads two edge rows per boundary edge. That trade only
-  // wins while the head row is narrow enough that per-edge overhead, not
-  // traffic, dominates; the measured crossover on bench_micro_kernels is
-  // h = 8, so wider score programs stay interpreted (and keep the stash).
+  // The combine replays the chain from the input tensors, re-reading two
+  // edge rows per boundary edge. The core binds only while the head row is
+  // narrow enough that per-edge overhead, not traffic, dominates: h <= 8,
+  // the crossover bench_micro_kernels measured against an interpreter that
+  // still stashed this shape. Wider score programs stay interpreted, whose
+  // combine replays the same chain.
   if (h > 8) return cb;
   cb.kind = CoreKind::GatScoreBwd;
   cb.t_feat = le.tensor;  // per-edge upstream gradient
@@ -430,9 +431,9 @@ CoreBinding match_gauss_bwd(const EdgeProgram& ep) {
 }
 
 /// Edge-balanced Sum gather of the non-target endpoint. The interpreter
-/// realizes the shape as its deterministic combine alone (the walk is fully
-/// elided); the core is that combine as a flat loop, so matching it changes
-/// nothing about the fold order.
+/// realizes the shape as its deterministic combine alone (the walk is pruned
+/// to nothing); the core is that combine as a flat loop, so matching it
+/// changes nothing about the fold order.
 CoreBinding match_sum_eb(const EdgeProgram& ep) {
   CoreBinding cb;
   if (ep.phases.size() != 1 || ep.vertex_outputs.size() != 1 ||

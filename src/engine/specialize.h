@@ -28,7 +28,7 @@
 ///    boundary-combine sweep (recomputing the per-edge SSA value instead of
 ///    stashing it — identical bits, no O(|E|·w) stash).
 ///  - Edge-balanced Sum gathers (sum_eb): the interpreter realizes these as
-///    a fully-elided walk plus a deterministic per-target combine, so the
+///    a fully-pruned walk plus a deterministic per-target combine, so the
 ///    core IS that combine — a per-target fold over the output's
 ///    reverse-orientation adjacency in fixed edge order.
 ///

@@ -38,29 +38,18 @@ struct RInstr {
 };
 
 struct ResolvedProgram {
+  // Walk instructions per phase, pruned to what feeds a StoreE or a
+  // sequential Reduce; the walk skips a phase left empty.
   std::vector<std::vector<RInstr>> phases;
   std::vector<float*> vout_data;        // per vertex_output
   std::vector<std::int32_t*> vout_aux;  // argmax outputs (or nullptr)
-  // Boundary (cross-orientation) reductions: per-edge contribution stash,
-  // written during the walk and reduced by the deterministic combine sweep.
-  // Pool-accounted workspace (it is the VM's dominant transient allocation);
-  // indexed like vertex_outputs, undefined entry = sequential reduction.
-  // Never zero-filled: the walk writes every slot before the combine reads.
-  std::vector<Tensor> boundary;
-  std::vector<float*> boundary_ptr;  // hot-path aliases of `boundary`
-  // Stash elision: a boundary output whose contribution is cheap (pure loads
-  // plus at most two arithmetic ops) skips the |E|-row stash entirely — the
-  // combine replays the phase's side-effect-free instruction prefix per edge
-  // instead. Register values are SSA per edge and the fold order is
-  // unchanged, so the result is bit-identical to the stashed path while
-  // saving the stash write + read round trip (and often the whole walk-side
-  // phase, see phase_live).
-  std::vector<char> elided;               // per vertex_output
-  std::vector<std::vector<RInstr>> recompute;  // replay list (elided only)
-  std::vector<int> src_reg;               // register the Reduce folds
-  // False = every side effect of this phase is an elided stash write, so the
-  // walk skips the phase entirely and the combine recomputes on demand.
-  std::vector<char> phase_live;
+  // Boundary (cross-orientation) outputs are never stashed: the combine
+  // replays, per edge, the dependency cone of the register their Reduce
+  // folds. Registers are SSA per edge and the fold order is fixed, so the
+  // replay reproduces the walk's value bit for bit. Indexed like
+  // vertex_outputs; empty for sequential outputs.
+  std::vector<std::vector<RInstr>> recompute;
+  std::vector<int> src_reg;  // register the Reduce folds
   bool has_boundary = false;
 };
 
@@ -111,6 +100,24 @@ WorkerState& worker_scratch(const EdgeProgram& ep) {
 /// owns the center vertex; false = boundary (stash + combine).
 inline bool sequential_reduce(const EdgeProgram& ep, const VertexOutput& vo) {
   return ep.mapping == WorkMapping::VertexBalanced && vo.reverse != ep.dst_major;
+}
+
+/// The instructions of `instrs` that `root` marks, plus every instruction
+/// they transitively read, in program order (one backward liveness sweep).
+/// Registers are SSA per edge, so this is exactly what the roots depend on.
+template <class Root>
+std::vector<RInstr> live_slice(const std::vector<RInstr>& instrs, int num_regs,
+                               Root root) {
+  std::vector<char> live(num_regs, 0);
+  std::vector<RInstr> kept;
+  for (auto it = instrs.rbegin(); it != instrs.rend(); ++it) {
+    if (!root(*it) && (it->dst < 0 || !live[it->dst])) continue;
+    if (it->a >= 0) live[it->a] = 1;
+    if (it->b >= 0) live[it->b] = 1;
+    kept.push_back(*it);
+  }
+  std::reverse(kept.begin(), kept.end());
+  return kept;
 }
 
 ResolvedProgram resolve(const Graph& g, const EdgeProgram& ep,
@@ -169,12 +176,8 @@ ResolvedProgram resolve(const Graph& g, const EdgeProgram& ep,
   }
   rp.vout_data.resize(ep.vertex_outputs.size());
   rp.vout_aux.assign(ep.vertex_outputs.size(), nullptr);
-  rp.boundary.resize(ep.vertex_outputs.size());
-  rp.boundary_ptr.assign(ep.vertex_outputs.size(), nullptr);
-  rp.elided.assign(ep.vertex_outputs.size(), 0);
   rp.recompute.resize(ep.vertex_outputs.size());
   rp.src_reg.assign(ep.vertex_outputs.size(), -1);
-  MemoryPool* pool = b.pool != nullptr ? b.pool : &global_pool_mem();
   for (std::size_t i = 0; i < ep.vertex_outputs.size(); ++i) {
     const VertexOutput& vo = ep.vertex_outputs[i];
     rp.vout_data[i] = b.out(vo.node).data();
@@ -185,64 +188,27 @@ ResolvedProgram resolve(const Graph& g, const EdgeProgram& ep,
       TRIAD_CHECK(static_cast<ReduceFn>(vo.rfn) == ReduceFn::Sum,
                   "boundary reductions support Sum only");
       rp.has_boundary = true;
-      // Elision candidate: the replay list is the phase minus its side
-      // effects (Reduce stash writes, StoreE). Cheap means at most two
-      // non-load ops and no Gauss; anything pricier keeps the stash so the
-      // combine reads instead of recomputing.
-      const int p = vo.phase;
-      std::vector<RInstr> replay;
-      int arith = 0;
-      bool costly = false;
-      int sreg = -1;
-      const auto& instrs = ep.phases[p].instrs;
-      for (std::size_t x = 0; x < instrs.size(); ++x) {
-        const EPInstr& in = instrs[x];
-        if (in.op == EPOp::Reduce) {
-          if (in.acc == static_cast<int>(i)) sreg = in.a;
-          continue;
-        }
-        if (in.op == EPOp::StoreE) continue;
-        replay.push_back(rp.phases[p][x]);
-        if (in.op != EPOp::LoadU && in.op != EPOp::LoadV &&
-            in.op != EPOp::LoadE && in.op != EPOp::LoadAcc &&
-            in.op != EPOp::Copy) {
-          ++arith;
-          if (in.op == EPOp::Gauss) costly = true;
-        }
-      }
-      TRIAD_CHECK(sreg >= 0, "boundary output has no Reduce in its phase");
-      rp.src_reg[i] = sreg;
-      const std::uint64_t stash_bytes =
+      std::vector<RInstr> cone =
+          live_slice(rp.phases[vo.phase], ep.num_regs, [&](const RInstr& in) {
+            return in.op == EPOp::Reduce && in.acc == static_cast<int>(i);
+          });
+      TRIAD_CHECK(!cone.empty(), "boundary output has no Reduce in its phase");
+      rp.src_reg[i] = cone.back().a;
+      cone.pop_back();  // the Reduce itself: the combine folds instead
+      rp.recompute[i] = std::move(cone);
+      global_counters().boundary_stash_saved_bytes +=
           static_cast<std::uint64_t>(g.num_edges()) *
           static_cast<std::uint64_t>(vo.width) * 4;
-      if (arith <= 2 && !costly) {
-        rp.elided[i] = 1;
-        rp.recompute[i] = std::move(replay);
-        global_counters().boundary_stash_saved_bytes += stash_bytes;
-      } else {
-        // Allocated per call, not cached across steps: at most one program's
-        // stash is live at a time, so peak memory — the metric the recompute
-        // pass optimizes — stays one O(|E| x width) buffer instead of one
-        // per fused node. The alloc/free churn matches the engine's existing
-        // per-step slot allocation discipline.
-        rp.boundary[i] =
-            Tensor(g.num_edges(), vo.width, MemTag::kWorkspace, pool);
-        rp.boundary_ptr[i] = rp.boundary[i].data();
-        global_counters().boundary_stash_bytes += stash_bytes;
-      }
     }
   }
-  // A phase whose only side effects are elided stash writes has nothing left
-  // to do in the walk: the combine recomputes its values on demand.
-  rp.phase_live.assign(ep.phases.size(), 0);
-  for (std::size_t p = 0; p < ep.phases.size(); ++p) {
-    for (const EPInstr& in : ep.phases[p].instrs) {
-      if (in.op == EPOp::StoreE ||
-          (in.op == EPOp::Reduce && !rp.elided[in.acc])) {
-        rp.phase_live[p] = 1;
-        break;
-      }
-    }
+  // The walk keeps only what its own side effects need; values that feed a
+  // boundary Reduce alone are computed once, by the combine.
+  for (std::vector<RInstr>& phase : rp.phases) {
+    phase = live_slice(phase, ep.num_regs, [&](const RInstr& in) {
+      return in.op == EPOp::StoreE ||
+             (in.op == EPOp::Reduce &&
+              sequential_reduce(ep, ep.vertex_outputs[in.acc]));
+    });
   }
   return rp;
 }
@@ -250,8 +216,8 @@ ResolvedProgram resolve(const Graph& g, const EdgeProgram& ep,
 /// Evaluates one instruction for the current edge. `center` is the vertex the
 /// worker owns (dst in dst-major kernels).
 inline void eval_instr(const RInstr& in, WorkerState& ws, const EdgeProgram& ep,
-                       ResolvedProgram& rp, std::int64_t src,
-                       std::int64_t dst, std::int64_t eid, std::int64_t center) {
+                       std::int64_t src, std::int64_t dst, std::int64_t eid,
+                       std::int64_t center) {
   const float* a = in.a >= 0 ? ws.ptr[in.a] : nullptr;
   const float* bb = in.b >= 0 ? ws.ptr[in.b] : nullptr;
   float* d = nullptr;
@@ -363,34 +329,27 @@ inline void eval_instr(const RInstr& in, WorkerState& ws, const EdgeProgram& ep,
       break;
     }
     case EPOp::Reduce: {
+      // Only sequential reductions reach the walk: resolve() prunes boundary
+      // Reduces, which the combine folds from its replayed cone instead.
       const VertexOutput& vo = ep.vertex_outputs[in.acc];
-      if (sequential_reduce(ep, vo)) {
-        float* accp = ws.acc.data() + ws.acc_base[in.acc];
-        switch (static_cast<ReduceFn>(vo.rfn)) {
-          case ReduceFn::Sum:
-          case ReduceFn::Mean:
-            for (std::int64_t j = 0; j < w; ++j) accp[j] += a[j];
-            break;
-          case ReduceFn::Max: {
-            std::int32_t* argp = ws.acc_arg.data() + ws.acc_base[in.acc];
-            for (std::int64_t j = 0; j < w; ++j) {
-              if (a[j] > accp[j]) {
-                accp[j] = a[j];
-                argp[j] = static_cast<std::int32_t>(eid);
-              }
+      float* accp = ws.acc.data() + ws.acc_base[in.acc];
+      switch (static_cast<ReduceFn>(vo.rfn)) {
+        case ReduceFn::Sum:
+        case ReduceFn::Mean:
+          for (std::int64_t j = 0; j < w; ++j) accp[j] += a[j];
+          break;
+        case ReduceFn::Max: {
+          std::int32_t* argp = ws.acc_arg.data() + ws.acc_base[in.acc];
+          for (std::int64_t j = 0; j < w; ++j) {
+            if (a[j] > accp[j]) {
+              accp[j] = a[j];
+              argp[j] = static_cast<std::int32_t>(eid);
             }
-            break;
           }
+          break;
         }
-        ws.count[in.acc] += 1;
-      } else if (rp.boundary_ptr[in.acc] != nullptr) {
-        // Boundary reduction: stash this edge's contribution; the combine
-        // sweep folds it into the target row in fixed adjacency order. Each
-        // edge runs the phase exactly once, so a plain store suffices.
-        // (Elided outputs have no stash — the combine recomputes instead.)
-        float* stash = rp.boundary_ptr[in.acc] + eid * w;
-        for (std::int64_t j = 0; j < w; ++j) stash[j] = a[j];
       }
+      ws.count[in.acc] += 1;
       break;
     }
     case EPOp::StoreE:
@@ -404,7 +363,7 @@ inline void eval_instr(const RInstr& in, WorkerState& ws, const EdgeProgram& ep,
 /// may run concurrently. Strictly serial — shard bodies and chunk bodies call
 /// this from pool workers, so it must not spawn nested parallelism.
 void walk_vertex_range(const Graph& g, const EdgeProgram& ep,
-                       ResolvedProgram& rp, std::int64_t v_lo,
+                       const ResolvedProgram& rp, std::int64_t v_lo,
                        std::int64_t v_hi) {
   const auto& ptr = ep.dst_major ? g.in_ptr() : g.out_ptr();
   const auto& adj = ep.dst_major ? g.in_src() : g.out_dst();
@@ -414,7 +373,8 @@ void walk_vertex_range(const Graph& g, const EdgeProgram& ep,
     const std::int64_t elo = ptr[v];
     const std::int64_t ehi = ptr[v + 1];
     for (std::size_t p = 0; p < ep.phases.size(); ++p) {
-      if (!rp.phase_live[p]) continue;
+      const std::vector<RInstr>& instrs = rp.phases[p];
+      if (instrs.empty()) continue;
       // Init sequential accumulators fed by this phase.
       for (std::size_t i = 0; i < ep.vertex_outputs.size(); ++i) {
         const VertexOutput& vo = ep.vertex_outputs[i];
@@ -427,14 +387,13 @@ void walk_vertex_range(const Graph& g, const EdgeProgram& ep,
         std::fill_n(ws.acc_arg.data() + ws.acc_base[i], vo.width, -1);
         ws.count[i] = 0;
       }
-      std::vector<RInstr>& instrs = rp.phases[p];
       for (std::int64_t i = elo; i < ehi; ++i) {
         const std::int64_t other = adj[i];
         const std::int64_t e = eid[i];
         const std::int64_t src = ep.dst_major ? other : v;
         const std::int64_t dst = ep.dst_major ? v : other;
         for (const RInstr& in : instrs) {
-          eval_instr(in, ws, ep, rp, src, dst, e, v);
+          eval_instr(in, ws, ep, src, dst, e, v);
         }
       }
       // Finalize this phase's sequential reductions for vertex v.
@@ -462,21 +421,18 @@ void walk_vertex_range(const Graph& g, const EdgeProgram& ep,
 }
 
 /// Edge-balanced walk over edges [e_lo, e_hi). Serial; see walk_vertex_range.
-void walk_edge_range(const Graph& g, const EdgeProgram& ep, ResolvedProgram& rp,
-                     std::int64_t e_lo, std::int64_t e_hi) {
-  if (!rp.phase_live[0]) return;  // all side effects elided into the combine
+void walk_edge_range(const Graph& g, const EdgeProgram& ep,
+                     const ResolvedProgram& rp, std::int64_t e_lo,
+                     std::int64_t e_hi) {
+  const std::vector<RInstr>& instrs = rp.phases[0];
+  if (instrs.empty()) return;  // every output is folded by the combine
   const auto& esrc = g.edge_src();
   const auto& edst = g.edge_dst();
   WorkerState& ws = worker_scratch(ep);
-  std::vector<RInstr>& instrs = rp.phases[0];
   for (std::int64_t e = e_lo; e < e_hi; ++e) {
     const std::int64_t src = esrc[e];
     const std::int64_t dst = edst[e];
-    for (const RInstr& in : instrs) {
-      TRIAD_CHECK(in.op != EPOp::LoadAcc,
-                  "LoadAcc is invalid under edge-balanced mapping");
-      eval_instr(in, ws, ep, rp, src, dst, e, dst);
-    }
+    for (const RInstr& in : instrs) eval_instr(in, ws, ep, src, dst, e, dst);
   }
 }
 
@@ -484,12 +440,12 @@ void walk_edge_range(const Graph& g, const EdgeProgram& ep, ResolvedProgram& rp,
 /// in its fixed reverse-orientation edge-list order; that order is a property
 /// of the graph, so the reduction result is bit-identical for every
 /// thread/shard count and for every scheduling of disjoint target ranges.
-/// Contributions come from the stash, or — for elided outputs — from
-/// replaying the phase's side-effect-free instruction prefix per edge
-/// (registers are SSA per edge, so the replay reproduces the walk's value
-/// exactly). Serial; callers schedule disjoint target ranges concurrently.
+/// Each edge's contribution is recomputed by replaying the output's
+/// dependency cone (registers are SSA per edge, so the replay reproduces the
+/// value the walk would have computed, bit for bit). Serial; callers
+/// schedule disjoint target ranges concurrently.
 void combine_boundary_targets(const Graph& g, const EdgeProgram& ep,
-                              ResolvedProgram& rp, std::int64_t t_lo,
+                              const ResolvedProgram& rp, std::int64_t t_lo,
                               std::int64_t t_hi) {
   WorkerState& ws = worker_scratch(ep);
   for (std::size_t i = 0; i < ep.vertex_outputs.size(); ++i) {
@@ -501,7 +457,6 @@ void combine_boundary_targets(const Graph& g, const EdgeProgram& ep,
     const auto& ptr = vo.reverse ? g.out_ptr() : g.in_ptr();
     const auto& adj = vo.reverse ? g.out_dst() : g.in_src();
     const auto& eid = vo.reverse ? g.out_eid() : g.in_eid();
-    const float* stash = rp.boundary_ptr[i];
     const std::vector<RInstr>& replay = rp.recompute[i];
     const int sreg = rp.src_reg[i];
     float* out = rp.vout_data[i];
@@ -510,18 +465,13 @@ void combine_boundary_targets(const Graph& g, const EdgeProgram& ep,
       std::fill_n(row, w, 0.f);
       for (std::int64_t k = ptr[t]; k < ptr[t + 1]; ++k) {
         const std::int64_t e = eid[k];
-        const float* c;
-        if (stash != nullptr) {
-          c = stash + e * w;
-        } else {
-          const std::int64_t other = adj[k];
-          const std::int64_t src = vo.reverse ? t : other;
-          const std::int64_t dst = vo.reverse ? other : t;
-          for (const RInstr& in : replay) {
-            eval_instr(in, ws, ep, rp, src, dst, e, /*center=*/other);
-          }
-          c = ws.ptr[sreg];
+        const std::int64_t other = adj[k];
+        const std::int64_t src = vo.reverse ? t : other;
+        const std::int64_t dst = vo.reverse ? other : t;
+        for (const RInstr& in : replay) {
+          eval_instr(in, ws, ep, src, dst, e, /*center=*/other);
         }
+        const float* c = ws.ptr[sreg];
         for (std::int64_t j = 0; j < w; ++j) row[j] += c[j];
       }
     }
@@ -530,7 +480,7 @@ void combine_boundary_targets(const Graph& g, const EdgeProgram& ep,
 
 /// Single-shard boundary combine: chunked sweep over all vertices.
 void combine_boundary(const Graph& g, const EdgeProgram& ep,
-                      ResolvedProgram& rp) {
+                      const ResolvedProgram& rp) {
   if (!rp.has_boundary) return;
   parallel_for_chunks(0, g.num_vertices(),
                       [&](std::int64_t t_lo, std::int64_t t_hi) {
@@ -636,6 +586,10 @@ void check_program(const EdgeProgram& ep) {
       TRIAD_CHECK(static_cast<ReduceFn>(vo.rfn) == ReduceFn::Sum,
                   "edge-balanced mapping supports Sum reductions only");
     }
+    for (const EPInstr& in : ep.phases[0].instrs) {
+      TRIAD_CHECK(in.op != EPOp::LoadAcc,
+                  "LoadAcc is invalid under edge-balanced mapping");
+    }
   }
 }
 
@@ -646,7 +600,7 @@ namespace {
 /// Counter bookkeeping shared by both runners for a specialized execution:
 /// the fwd/bwd edge split, plus the stash bytes a boundary combine core
 /// avoided by recomputing per-edge values instead of stashing them (the
-/// interpreter's elision charges the same counter; cores never stash).
+/// interpreter's combine charges the same counter; neither path stashes).
 void charge_specialized(const Graph& g, const EdgeProgram& ep,
                         const CoreBinding& core, bool backward) {
   PerfCounters& c = global_counters();
@@ -683,7 +637,7 @@ void run_edge_program(const Graph& g, const EdgeProgram& ep, const VmBindings& b
     }
     charge_specialized(g, ep, *core, backward);
   } else {
-    ResolvedProgram rp = resolve(g, ep, b);
+    const ResolvedProgram rp = resolve(g, ep, b);
     if (ep.mapping == WorkMapping::VertexBalanced) {
       parallel_for_chunks(0, g.num_vertices(), [&](std::int64_t lo, std::int64_t hi) {
         walk_vertex_range(g, ep, rp, lo, hi);
@@ -706,7 +660,7 @@ namespace {
 /// Barrier path: walk all shards, join, then combine as K owner-range tasks.
 /// Per-task walk/combine durations land in `walk_s` / `comb_s` (seconds).
 void run_sharded_barrier(const Graph& g, const Partitioning& part,
-                         const EdgeProgram& ep, ResolvedProgram& rp,
+                         const EdgeProgram& ep, const ResolvedProgram& rp,
                          std::vector<double>& walk_s,
                          std::vector<double>& comb_s) {
   const int k = part.num_shards();
@@ -791,7 +745,7 @@ void run_edge_program_sharded(const Graph& g, const Partitioning& part,
     run_sharded_core_barrier(g, part, ep, *core, args, walk_s, comb_s);
     charge_specialized(g, ep, *core, backward);
   } else {
-    ResolvedProgram rp = resolve(g, ep, b);
+    const ResolvedProgram rp = resolve(g, ep, b);
     run_sharded_barrier(g, part, ep, rp, walk_s, comb_s);
     (backward ? c.interpreted_bwd_edges : c.interpreted_fwd_edges) +=
         static_cast<std::uint64_t>(g.num_edges());

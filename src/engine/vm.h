@@ -5,12 +5,12 @@
 /// walks destination (or source) vertices, evaluating the per-edge register
 /// program phase by phase; reductions matching the kernel orientation use
 /// sequential per-vertex accumulators (zero atomics), cross-orientation Sum
-/// reductions stash their per-edge contribution and are finalized by a
-/// deterministic boundary-combine sweep over the reverse adjacency (fixed
-/// edge order per target vertex — no atomics, bit-identical for any thread or
-/// shard count). Edge intermediates live in a register file (no DRAM
-/// traffic), which is where the fusion IO savings come from; the cost model
-/// charges accordingly.
+/// reductions are finalized by a deterministic boundary-combine sweep over
+/// the reverse adjacency that recomputes each edge's contribution from its
+/// dependency cone (fixed edge order per target vertex — no atomics, no
+/// per-edge stash, bit-identical for any thread or shard count). Edge
+/// intermediates live in a register file (no DRAM traffic), which is where
+/// the fusion IO savings come from; the cost model charges accordingly.
 ///
 /// Sharded execution (run_edge_program_sharded) walks each shard's owned
 /// vertex range as one unit of work on the thread pool; because shards are
@@ -36,9 +36,6 @@ struct VmBindings {
   std::function<const IntTensor&(int)> aux;  ///< argmax auxes (MaxBwdMask)
   std::function<Tensor&(int)> out;           ///< program outputs
   std::function<IntTensor&(int)> out_aux;    ///< argmax aux outputs
-  /// Pool the boundary-combine stash (an O(|E| x width) workspace per
-  /// cross-orientation reduction) is accounted against; null = global pool.
-  MemoryPool* pool = nullptr;
 };
 
 /// Executes the program over `g` as a single shard (fine-grained chunked

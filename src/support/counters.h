@@ -52,8 +52,7 @@ enum class CounterKind : std::uint8_t {
   X(walk_ns, Ns)                   /* sharded walk task time, summed */      \
   X(combine_ns, Ns)                /* sharded combine task time, summed */   \
   X(combine_overlap_ns, Ns)        /* combine under still-walking shards */  \
-  X(boundary_stash_bytes, Bytes)   /* per-edge stash actually allocated */   \
-  X(boundary_stash_saved_bytes, Bytes) /* stash elided by recompute */       \
+  X(boundary_stash_saved_bytes, Bytes) /* stash replaced by recompute */     \
   X(transport_msgs, Int)           /* ParamServer messages */                \
   X(transport_bytes, Bytes)        /* modeled wire bytes of those */         \
   X(param_push_bytes, Bytes)       /* gradient bytes pushed */               \
